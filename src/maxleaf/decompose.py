@@ -298,34 +298,44 @@ def backward_component_check(
     """Either an out-tree with >= k leaves built from backward arcs, or
     the path order as a vertex-separation ordering.
 
-    Scans prefixes of the path; if some prefix holds k vertices with
-    in-neighbors in the matching suffix, the suffix path plus one such
-    backward arc each is the witness.  Otherwise every prefix boundary
-    is small and the path order has vertex separation <= k.
+    Looks for the first prefix p[:j] holding k vertices with
+    in-neighbors in the matching suffix p[j:]; the suffix path plus one
+    such backward arc for each of the first k of them is the witness.
+    Otherwise every prefix boundary is small and the path order has
+    vertex separation <= k.
+
+    One sweep: with reach[i] the last position of an in-neighbor of
+    p[i], p[i] is a target of prefix j exactly when i < j <= reach[i],
+    so a difference array over j counts the targets of every prefix.
+    Each vertex's in-neighbors are read once for reach[i] and, for the
+    k chosen targets only, once more: O(q + m) in all.
     """
     if sorted(p) != list(range(c.n)):
         raise ContractError("path does not cover the component")
     pos = {v: i for i, v in enumerate(p)}
-    for a, b in sorted(c.arcs):
-        if pos[b] == pos[a] + 1:
-            continue
-        if pos[b] > pos[a]:
-            raise ContractError(
-                f"arc ({a},{b}) is a forward chord, not allowed here"
-            )
+    chords = [(a, b) for a, b in c.arcs if pos[b] > pos[a] + 1]
+    if chords:
+        a, b = min(chords)
+        raise ContractError(f"arc ({a},{b}) is a forward chord, not allowed here")
     q = len(p)
+    reach = [max((pos[u] for u in c.in_neighbors(v)), default=-1) for v in p]
+    diff = [0] * (q + 1)
+    for i, r in enumerate(reach):
+        if r > i:
+            diff[i + 1] += 1
+            diff[r + 1] -= 1
+    count = 0
     for j in range(1, q):
-        suffix = set(p[j:])
-        targets = []
-        for v in p[:j]:
-            inside = [u for u in c.in_neighbors(v) if u in suffix]
-            if inside:
-                targets.append((pos[v], v, min(inside, key=pos.__getitem__)))
-        if len(targets) >= k:
-            targets.sort()
+        count += diff[j]
+        if count >= k:
             parent = {p[t + 1]: p[t] for t in range(j, q - 1)}
-            for _, v, u in targets[:k]:
-                parent[v] = u
+            targets = [i for i in range(j) if reach[i] >= j]
+            for i in targets[:k]:
+                v = p[i]
+                parent[v] = min(
+                    (u for u in c.in_neighbors(v) if pos[u] >= j),
+                    key=pos.__getitem__,
+                )
             return OutTree(p[j], parent, c.n)
     return list(p)
 

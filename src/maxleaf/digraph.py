@@ -314,6 +314,24 @@ def induced_subdigraph(d: Digraph, s: Iterable[int]) -> tuple[Digraph, tuple[int
     return Digraph(len(order), arcs), order
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
+
+
+def arc_masks(d: Digraph) -> tuple[list[int], list[int]]:
+    """Per vertex, the bitmask of its out-neighbors and of its in-neighbors."""
+    out_mask = [0] * d.n
+    in_mask = [0] * d.n
+    for u, v in d.arcs:
+        out_mask[u] |= 1 << v
+        in_mask[v] |= 1 << u
+    return out_mask, in_mask
+
+
 def underlying_undirected(d: Digraph) -> UndirectedGraph:
     """Forget orientation; opposite arc pairs collapse to one edge."""
     return UndirectedGraph(d.n, ((u, v) for u, v in d.arcs))

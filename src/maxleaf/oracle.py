@@ -16,36 +16,26 @@ Guarded at n <= 12 (4096 subsets).
 
 from __future__ import annotations
 
-from .digraph import Digraph, has_out_branching, induced_subdigraph
+from .digraph import (
+    Digraph,
+    arc_masks,
+    has_out_branching,
+    induced_subdigraph,
+    iter_bits,
+)
 from .errors import InvariantError, OverBudgetError
 from .witness import OutTree
 
 ORACLE_MAX_N = 12
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
-def _masks(d: Digraph) -> tuple[list[int], list[int]]:
-    out_mask = [0] * d.n
-    in_mask = [0] * d.n
-    for u, v in d.arcs:
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
-    return out_mask, in_mask
-
-
 def _induces_rooted_tree(out_mask: list[int], members: int) -> bool:
     """True iff some vertex of the mask reaches every other inside it."""
-    for r in _bits(members):
+    for r in iter_bits(members):
         reach = 1 << r
         while True:
             grow = reach
-            for v in _bits(reach):
+            for v in iter_bits(reach):
                 grow |= out_mask[v] & members
             if grow == reach:
                 break
@@ -88,18 +78,18 @@ def brute_force_out_branching(
         return 1, OutTree(0, {}, 1)
     if not has_out_branching(d):
         return 0, None
-    out_mask, in_mask = _masks(d)
+    out_mask, in_mask = arc_masks(d)
     full = (1 << d.n) - 1
     by_size: list[list[int]] = [[] for _ in range(d.n + 1)]
     for mask in range(1, full + 1):
         by_size[mask.bit_count()].append(mask)
     for size in range(1, d.n + 1):
         for mask in by_size[size]:
-            if any(not in_mask[v] & mask for v in _bits(full & ~mask)):
+            if any(not in_mask[v] & mask for v in iter_bits(full & ~mask)):
                 continue
             if not _induces_rooted_tree(out_mask, mask):
                 continue
-            tree = _tree_from_internal_set(d, [v for v in _bits(mask)])
+            tree = _tree_from_internal_set(d, [v for v in iter_bits(mask)])
             value = d.n - size
             if tree.leaf_count != value:
                 raise InvariantError(
@@ -117,12 +107,12 @@ def brute_force_out_tree(
         raise ValueError("empty digraph")
     if d.n > max_n:
         raise OverBudgetError(f"brute force limited to n <= {max_n}, got {d.n}")
-    out_mask, _ = _masks(d)
+    out_mask, _ = arc_masks(d)
     best = 0
     best_mask = 0
     for mask in range(1, 1 << d.n):
         fringe = 0
-        for v in _bits(mask):
+        for v in iter_bits(mask):
             fringe |= out_mask[v]
         value = (fringe & ~mask).bit_count()
         if value > best and _induces_rooted_tree(out_mask, mask):
@@ -130,7 +120,7 @@ def brute_force_out_tree(
             best_mask = mask
     if best == 0:
         return 1, OutTree(0, {}, d.n)
-    tree = _tree_from_internal_set(d, [v for v in _bits(best_mask)])
+    tree = _tree_from_internal_set(d, [v for v in iter_bits(best_mask)])
     if tree.leaf_count != best:
         raise InvariantError(
             f"oracle witness has {tree.leaf_count} leaves, expected {best}"

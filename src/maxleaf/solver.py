@@ -25,8 +25,10 @@ from itertools import combinations
 from .decompose import decompose, find_out_branching
 from .digraph import (
     Digraph,
+    arc_masks,
     in_L_sufficient,
     induced_subdigraph,
+    iter_bits,
     reachable_set,
     source_strong_components,
     strongly_connected_components,
@@ -90,13 +92,6 @@ class DpConfig:
             raise ContractError("budgets must be positive")
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
 class _BudgetHit(Exception):
     pass
 
@@ -127,11 +122,7 @@ def branch_and_bound(
     problem = "dmlob" if mode == "spanning" else "dmlot"
     n = d.n
     full = (1 << n) - 1
-    out_mask = [0] * n
-    in_mask = [0] * n
-    for a, b in d.arcs:
-        out_mask[a] |= 1 << b
-        in_mask[b] |= 1 << a
+    out_mask, in_mask = arc_masks(d)
     comps = strongly_connected_components(d)
     strong = len(comps.components) == 1
     if mode == "spanning":
@@ -178,7 +169,7 @@ def branch_and_bound(
                 frontier = tree
                 while frontier:
                     grow = 0
-                    for b in _bits(frontier):
+                    for b in iter_bits(frontier):
                         grow |= out_mask[b]
                     frontier = grow & ~reach
                     reach |= frontier
@@ -189,7 +180,7 @@ def branch_and_bound(
                 return
             pick = -1
             avail = 0
-            for v in _bits(full & ~tree):
+            for v in iter_bits(full & ~tree):
                 avail = in_mask[v] & tree & ~forbidden[v]
                 if avail:
                     pick = v
@@ -197,7 +188,7 @@ def branch_and_bound(
             if pick < 0:
                 return
             bit = 1 << pick
-            for u in _bits(avail):
+            for u in iter_bits(avail):
                 parent[pick] = u
                 tree |= bit
                 child_cnt[u] += 1
@@ -531,6 +522,8 @@ def solve_dmlot(
 
     Tries every distinct reachable set d[R_v]; a pipeline witness there
     is already an out-tree of d, so it settles "yes" unconditionally.
+    A "no" answer names the engine that found the returned value; every
+    region holds a one-leaf tree, so that value is at least 1.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -538,7 +531,7 @@ def solve_dmlot(
         raise ContractError("empty digraph")
     if k == 1:
         return SolveResult("dmlot", k, True, 1, True, "trivial", OutTree(0, {}, d.n))
-    best = 1
+    best = 0
     best_method = "trivial"
     seen: set[frozenset[int]] = set()
     for v in range(d.n):

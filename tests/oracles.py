@@ -10,6 +10,9 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from maxleaf.digraph import Digraph, UndirectedGraph
+from maxleaf.errors import ContractError
+from maxleaf.pathdecomp import PathDecomposition
+from maxleaf.witness import OutTree
 
 
 def all_digraphs(n: int):
@@ -177,3 +180,76 @@ def vs_exhaustive(g: UndirectedGraph) -> int:
                 worst = b
         best = min(best, worst)
     return 0 if g.n == 0 else best
+
+
+# Literal references for the one-sweep rewrites in decompose.py and
+# pathdecomp.py: the straightforward quadratic scans those functions
+# replaced, kept verbatim so random inputs can pin identical output.
+
+
+def backward_component_check_reference(
+    c: Digraph, p: list[int], k: int
+) -> OutTree | list[int]:
+    """Rebuilds the suffix set and rescans the prefix for every j."""
+    if sorted(p) != list(range(c.n)):
+        raise ContractError("path does not cover the component")
+    pos = {v: i for i, v in enumerate(p)}
+    for a, b in sorted(c.arcs):
+        if pos[b] == pos[a] + 1:
+            continue
+        if pos[b] > pos[a]:
+            raise ContractError(
+                f"arc ({a},{b}) is a forward chord, not allowed here"
+            )
+    q = len(p)
+    for j in range(1, q):
+        suffix = set(p[j:])
+        targets = []
+        for v in p[:j]:
+            inside = [u for u in c.in_neighbors(v) if u in suffix]
+            if inside:
+                targets.append((pos[v], v, min(inside, key=pos.__getitem__)))
+        if len(targets) >= k:
+            targets.sort()
+            parent = {p[t + 1]: p[t] for t in range(j, q - 1)}
+            for _, v, u in targets[:k]:
+                parent[v] = u
+            return OutTree(p[j], parent, c.n)
+    return list(p)
+
+
+def ordering_to_path_decomposition_reference(
+    g: UndirectedGraph, order: list[int]
+) -> PathDecomposition:
+    """Rescans the whole prefix of the ordering for every bag."""
+    order = list(order)
+    if sorted(order) != list(range(g.n)):
+        raise ContractError("ordering is not a permutation of the vertex set")
+    pos = {v: i for i, v in enumerate(order)}
+    last = [max((pos[w] for w in g.neighbors(v)), default=-1) for v in range(g.n)]
+    bags = []
+    for j, v in enumerate(order):
+        bags.append([v] + [u for u in order[:j] if last[u] >= j])
+    return PathDecomposition(bags)
+
+
+def decomposition_check_reference(pd: PathDecomposition, g: UndirectedGraph) -> None:
+    """PathDecomposition.check with every edge tested against every bag."""
+    problems: list[str] = []
+    positions: dict[int, list[int]] = {}
+    for j, bag in enumerate(pd.bags):
+        for v in bag:
+            if not 0 <= v < g.n:
+                problems.append(f"bag {j} contains unknown vertex {v}")
+            positions.setdefault(v, []).append(j)
+    for v in range(g.n):
+        idx = positions.get(v)
+        if not idx:
+            problems.append(f"vertex {v} is in no bag")
+        elif idx[-1] - idx[0] + 1 != len(idx):
+            problems.append(f"bags containing {v} are not consecutive: {idx}")
+    for a, b in sorted(g.edges):
+        if not any(a in bag and b in bag for bag in pd.bags):
+            problems.append(f"edge ({a},{b}) has no common bag")
+    if problems:
+        raise ContractError("; ".join(problems))

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle, double_cycle, directed_path, out_star, random_digraph
 from maxleaf import (
@@ -31,6 +35,7 @@ from maxleaf.decompose import (
     witness_from_forward_arcs,
     witness_from_off_path,
 )
+from oracles import backward_component_check_reference
 
 
 # ---------------------------------------------------------------- trees
@@ -217,6 +222,88 @@ def test_backward_component_rejects_forward_chords():
         backward_component_check(Digraph(5, arcs), list(range(5)), 2)
     with pytest.raises(ContractError):
         backward_component_check(Digraph(3, [(0, 1), (1, 2)]), [0, 1], 2)
+
+
+def _path_component(q: int, chords: list[tuple[int, int]], rng: random.Random):
+    """A digraph on 0..q-1 with a Hamiltonian path in shuffled order plus
+    chords given by path positions; returns (digraph, path)."""
+    p = list(range(q))
+    rng.shuffle(p)
+    arcs = [(p[i], p[i + 1]) for i in range(q - 1)]
+    arcs += [(p[a], p[b]) for a, b in chords if a != b]
+    return Digraph(q, arcs), p
+
+
+def _outcome(fn, c, p, k):
+    try:
+        res = fn(c, p, k)
+    except ContractError as exc:
+        return "error", str(exc)
+    if isinstance(res, OutTree):
+        return "witness", res.root, res.parent, res.host_size
+    return "ordering", res
+
+
+def test_backward_check_matches_reference_on_seeded_components():
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(300):
+        q = rng.randint(1, 30)
+        chords = []
+        for _ in range(rng.randint(0, 2 * q)):
+            a, b = rng.randrange(q), rng.randrange(q)
+            chords.append((max(a, b), min(a, b)))  # backward: later to earlier
+        if rng.random() < 0.1 and q >= 3:
+            for _ in range(rng.randint(1, 4)):
+                a = rng.randrange(q - 2)
+                chords.append((a, rng.randrange(a + 2, q)))  # forward chords
+        c, p = _path_component(q, chords, rng)
+        k = rng.randint(2, 5)
+        got = _outcome(backward_component_check, c, p, k)
+        assert got == _outcome(backward_component_check_reference, c, p, k)
+        kinds.add(got[0])
+    assert kinds == {"witness", "ordering", "error"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_backward_check_matches_reference_property(data):
+    q = data.draw(st.integers(1, 12))
+    chords = data.draw(
+        st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), max_size=20)
+    )
+    chords = [(max(a, b), min(a, b)) for a, b in chords]
+    c, p = _path_component(q, chords, random.Random(data.draw(st.integers(0, 999))))
+    k = data.draw(st.integers(2, 4))
+    assert _outcome(backward_component_check, c, p, k) == _outcome(
+        backward_component_check_reference, c, p, k
+    )
+
+
+class _CountingDigraph:
+    """Delegates to a Digraph and counts in_neighbors calls."""
+
+    def __init__(self, d: Digraph) -> None:
+        self._d = d
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._d, name)
+
+    def in_neighbors(self, v: int):
+        self.calls += 1
+        return self._d.in_neighbors(v)
+
+
+def test_backward_check_reads_each_in_neighborhood_a_bounded_number_of_times():
+    n = 3000
+    p = list(range(n))
+    random.Random(3).shuffle(p)
+    arcs = [(p[i], p[(i + 1) % n]) for i in range(n)]  # a relabeled cycle
+    c = _CountingDigraph(Digraph(n, arcs))
+    assert backward_component_check(c, p, 3) == p
+    # the prefix-by-prefix rescan made about n^2/2 calls here
+    assert c.calls <= 2 * n
 
 
 # ------------------------------------------------------------- pipeline

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,12 @@ from maxleaf import (
     vertex_separation,
 )
 from maxleaf.digraph import UndirectedGraph
-from oracles import pathwidth_bruteforce, vs_exhaustive
+from oracles import (
+    decomposition_check_reference,
+    ordering_to_path_decomposition_reference,
+    pathwidth_bruteforce,
+    vs_exhaustive,
+)
 
 
 def test_path_cover_construction_and_validation():
@@ -112,3 +118,96 @@ def test_any_ordering_bounds_pathwidth_from_above():
         )
         assert best == pw
         assert best == vs_exhaustive(g)
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
+    return UndirectedGraph(
+        n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    )
+
+
+def test_ordering_bags_match_reference_on_seeded_graphs():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 25)
+        g = _random_graph(rng, n, rng.choice((0.05, 0.15, 0.4)))
+        order = list(range(n))
+        rng.shuffle(order)
+        got = ordering_to_path_decomposition(g, order)
+        assert got.bags == ordering_to_path_decomposition_reference(g, order).bags
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ordering_bags_match_reference_property(data):
+    n = data.draw(st.integers(1, 9))
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda t: t[0] != t[1]
+            ),
+            max_size=20,
+        )
+    )
+    order = data.draw(st.permutations(range(n)))
+    g = UndirectedGraph(n, edges)
+    got = ordering_to_path_decomposition(g, order)
+    assert got.bags == ordering_to_path_decomposition_reference(g, order).bags
+
+
+def _check_message(check, pd: PathDecomposition, g: UndirectedGraph) -> str | None:
+    try:
+        check(pd, g)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupt(rng: random.Random, bags: list[list[int]], n: int) -> list[list[int]]:
+    """Apply one to three random defects: a vertex dropped from bags, an
+    unknown vertex added, a vertex copied into a far bag, a bag removed."""
+    bags = [list(b) for b in bags]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        j = rng.randrange(len(bags))
+        if kind == 0 and bags[j]:
+            v = rng.choice(bags[j])
+            for bag in bags[j : j + rng.randint(1, 3)]:
+                if v in bag:
+                    bag.remove(v)
+        elif kind == 1:
+            bags[j].append(rng.choice((-1, n, n + 3)))
+        elif kind == 2:
+            bags[j].append(rng.randrange(n))
+        elif kind == 3 and len(bags) > 1:
+            del bags[j]
+    return bags
+
+
+def test_check_messages_match_reference_on_corrupted_bags():
+    rng = random.Random(5)
+    failures = 0
+    seen = set()
+    kinds = ("unknown vertex", "not consecutive", "in no bag", "no common bag")
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        g = _random_graph(rng, n, rng.choice((0.1, 0.3, 0.6)))
+        order = list(range(n))
+        rng.shuffle(order)
+        bags = [list(b) for b in ordering_to_path_decomposition(g, order).bags]
+        pd = PathDecomposition(_corrupt(rng, bags, n))
+        got = _check_message(PathDecomposition.check, pd, g)
+        assert got == _check_message(decomposition_check_reference, pd, g)
+        failures += got is not None
+        seen.update(kind for kind in kinds if kind in (got or ""))
+    assert failures > 200
+    assert seen == set(kinds)
+    pd = PathDecomposition([[0, 1], [2, 9], [0, 3]])
+    msg = _check_message(PathDecomposition.check, pd, UndirectedGraph(5, [(0, 2), (1, 3)]))
+    assert msg == _check_message(
+        decomposition_check_reference, pd, UndirectedGraph(5, [(0, 2), (1, 3)])
+    )
+    assert msg == (
+        "bag 1 contains unknown vertex 9; bags containing 0 are not consecutive: [0, 2]; "
+        "vertex 4 is in no bag; edge (0,2) has no common bag; edge (1,3) has no common bag"
+    )

@@ -273,6 +273,16 @@ def test_solve_dmlot_value_reports_best_found():
     assert r2.answer is False and r2.value == 2
 
 
+def test_solve_dmlot_no_answer_names_the_deciding_engine():
+    r = solve_dmlot(cycle(10), 3)
+    assert r.answer is False and r.value == 1
+    assert r.method == "dp"
+    r2 = solve_dmlot(cycle(10), 3, width_budget=0)
+    assert r2.answer is False and r2.value == 1
+    assert r2.method == "branch-and-bound"
+    assert solve_dmlot(cycle(10), 1).method == "trivial"
+
+
 def test_answers_monotone_in_k():
     for seed in range(8):
         d = generate(GenSpec(family="strong-random", n=8, extra=5, seed=seed))
