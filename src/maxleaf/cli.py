@@ -13,7 +13,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bounds import check_bounds, write_bound_csv
@@ -89,7 +88,6 @@ def build_parser() -> _Parser:
             p.add_argument("inputs", nargs="*", help="digraph files ('-' or none for stdin)")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
-        p.add_argument("--jobs", type=int, default=1, help="threads across multiple input files")
 
     p_solve = sub.add_parser("solve", help="decide a maximum-leaf problem")
     p_solve.add_argument("--problem", choices=("dmlob", "dmlot"), required=True)
@@ -149,23 +147,8 @@ def _read_inputs(paths: list[str]) -> list[tuple[str, str]]:
 
 
 def _over_inputs(args, worker) -> list[str]:
-    """Run worker(name, text) over every input, in order, maybe threaded."""
-    items = _read_inputs(args.inputs)
-    if args.jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(worker, name, text) for name, text in items]
-            results = []
-            pending_error: BaseException | None = None
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except BaseException as exc:  # first input wins, later ones may still run
-                    pending_error = pending_error or exc
-                    results.append(None)
-            if pending_error is not None:
-                raise pending_error
-            return results
-    return [worker(name, text) for name, text in items]
+    """Run worker(name, text) over every input, in order."""
+    return [worker(name, text) for name, text in _read_inputs(args.inputs)]
 
 
 def _note(args, message: str) -> None:

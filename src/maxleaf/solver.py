@@ -13,13 +13,23 @@ solve_dmlob / solve_dmlot combine decompose() with these engines: a
 witness from the pipeline settles "yes" instantly (for spanning only
 inside the family where the out-tree value transfers), otherwise the
 pipeline's decomposition feeds the DP, with branch and bound behind it.
+
+solve_dmlot reduces to the spanning problem.  An out-tree rooted at u
+lies in d[R_u], the subdigraph induced by the vertices u reaches, and
+growing it into an out-branching of d[R_u] never loses a leaf: hanging
+a new vertex under a leaf keeps the count, hanging it under an internal
+vertex raises it.  So the out-tree optimum of d is the largest spanning
+optimum over the regions d[R_C], one per strong component C, since all
+vertices of C reach the same set.
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .decompose import decompose, find_out_branching
@@ -247,7 +257,7 @@ def _nice_steps(pd: PathDecomposition) -> list[tuple[str, int]]:
     return steps
 
 
-# status codes for a bag vertex inside a DP state
+# status codes, the low three bits of a DP slot byte (see dp_pathwidth)
 _UNUSED = 0
 _OPEN = 1  # in the tree, no parent assigned yet, childless
 _OPEN_CH = 2  # same, already has a child
@@ -255,6 +265,28 @@ _ROOT = 3  # the designated root, childless
 _ROOT_CH = 4
 _DONE = 5  # parent assigned, childless
 _DONE_CH = 6
+_ROOT_USED = 1  # flags byte: a root was designated
+_CLOSED = 2  # flags byte: the final tree was closed off
+_MAX_SLOTS = 31  # labels take the five high bits of a slot byte
+
+
+@lru_cache(maxsize=1024)
+def _label_map(merged: int, rank: int) -> bytes:
+    """Slot-byte translation table that makes the labels in the bitmask
+    merged one piece numbered rank + 1.  The other labels keep their
+    order and take the remaining numbers.  Flags bytes map to themselves."""
+    table = bytearray(range(256))
+    for label in range(1, 32):
+        if merged >> label & 1:
+            new = rank + 1
+        else:
+            new = label - (merged & ((1 << label) - 1)).bit_count()
+            new += new > rank
+        if new >= 32:
+            continue  # no key holds 31 pieces and a new one
+        for status in range(8):
+            table[status | label << 3] = status | new << 3
+    return bytes(table)
 
 
 def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResult:
@@ -268,28 +300,36 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
     forgotten vertices, saturated at leaf_cap.  A vertex forgotten while
     still open kills the state; closing a piece is only allowed when it
     is the last in-tree matter around, and only once.
+
+    A state is a bytes key: one byte per bag slot, in sorted bag order,
+    then a flags byte.  A slot byte is status | label << 3, where the
+    label names the vertex's piece.  Label 0 means "not in the tree",
+    and the pieces are labelled 1, 2, ... in the order of their first
+    slot, so each partition has exactly one labelling.  Merging pieces
+    on introduce, and dropping a piece's first member on forget,
+    renumber the labels with one bytes.translate.
     """
     pd.check(underlying_undirected(d))
     if pd.width > cfg.width_budget:
         raise OverBudgetError(
             f"decomposition width {pd.width} exceeds budget {cfg.width_budget}"
         )
+    if pd.width >= _MAX_SLOTS:
+        raise OverBudgetError(f"dp states hold at most {_MAX_SLOTS} bag slots")
     problem = "dmlob" if cfg.mode == "spanning" else "dmlot"
     k = cfg.leaf_cap
-    arcs = d.arcs
     spanning = cfg.mode == "spanning"
     steps = _nice_steps(pd)
 
     bag: list[int] = []
-    # key: (statuses aligned with sorted bag, partition of in-tree bag
-    # vertices, root designated?, tree closed?) -> (value, move chain)
-    states: dict[tuple, tuple[int, tuple | None]] = {((), (), False, False): (0, None)}
+    # key -> (value, move chain); a move is (v, parent or -1/-2, adopted)
+    states: dict[bytes, tuple[int, tuple | None]] = {bytes([0]): (0, None)}
     created = 1
 
     for op, v in steps:
-        new_states: dict[tuple, tuple[int, tuple | None]] = {}
+        new_states: dict[bytes, tuple[int, tuple | None]] = {}
 
-        def put(key: tuple, value: int, chain: tuple | None) -> None:
+        def put(key: bytes, value: int, chain: tuple | None) -> None:
             nonlocal created
             cur = new_states.get(key)
             if cur is None:
@@ -299,106 +339,88 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
                 new_states[key] = (value, chain)
 
         if op == "+":
-            vi = 0
-            while vi < len(bag) and bag[vi] < v:
-                vi += 1
-            for (statuses, parts, root_used, completed), (value, chain) in states.items():
+            vi = bisect_left(bag, v)
+            out_slots = [i for i, w in enumerate(bag) if d.has_arc(v, w)]
+            in_slots = [i for i, u in enumerate(bag) if d.has_arc(u, v)]
+            # open slots -> their adoptable subsets, in combinations order
+            adoptions: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+            for key, (value, chain) in states.items():
                 if not spanning:
-                    put(
-                        (statuses[:vi] + (_UNUSED,) + statuses[vi:], parts, root_used, completed),
-                        value,
-                        chain,
-                    )
-                if completed:
+                    put(key[:vi] + b"\0" + key[vi:], value, chain)
+                flags = key[-1]
+                if flags & _CLOSED:
                     continue
-                comp_of = {}
-                for part in parts:
-                    for x in part:
-                        comp_of[x] = part
-                open_ws = [
-                    w
-                    for idx, w in enumerate(bag)
-                    if statuses[idx] in (_OPEN, _OPEN_CH) and (v, w) in arcs
-                ]
-                parent_opts: list[int] = [-1]
-                if not root_used:
+                open_ws = tuple(i for i in out_slots if _OPEN <= key[i] & 7 <= _OPEN_CH)
+                subsets = adoptions.get(open_ws)
+                if subsets is None:
+                    subsets = adoptions[open_ws] = [
+                        (adopted, tuple(bag[i] for i in adopted))
+                        for r in range(len(open_ws) + 1)
+                        for adopted in combinations(open_ws, r)
+                    ]
+                parent_opts = [-1]
+                if not flags & _ROOT_USED:
                     parent_opts.append(-2)
-                parent_opts.extend(
-                    u
-                    for idx, u in enumerate(bag)
-                    if statuses[idx] != _UNUSED and (u, v) in arcs
-                )
+                parent_opts.extend(i for i in in_slots if key[i])
+                before = max(key[:vi], default=0) >> 3  # pieces that start left of v
                 for parent in parent_opts:
-                    for r in range(len(open_ws) + 1):
-                        for adopted in combinations(open_ws, r):
-                            if parent >= 0 and any(
-                                comp_of[parent] is comp_of[w] for w in adopted
-                            ):
-                                continue  # v's parent would descend from an adoptee
-                            mods = list(statuses)
-                            for w in adopted:
-                                wi = bag.index(w)
-                                mods[wi] = _DONE if mods[wi] == _OPEN else _DONE_CH
-                            if parent >= 0:
-                                pi = bag.index(parent)
-                                if mods[pi] in (_OPEN, _ROOT, _DONE):
-                                    mods[pi] += 1
-                            if parent == -2:
-                                code = _ROOT_CH if adopted else _ROOT
-                            elif parent == -1:
-                                code = _OPEN_CH if adopted else _OPEN
-                            else:
-                                code = _DONE_CH if adopted else _DONE
-                            merged = {v}
-                            absorbed = []
-                            for w in adopted:
-                                absorbed.append(comp_of[w])
-                            if parent >= 0:
-                                absorbed.append(comp_of[parent])
-                            for part in absorbed:
-                                merged.update(part)
-                            kept = [p for p in parts if all(p is not a for a in absorbed)]
-                            kept.append(tuple(sorted(merged)))
-                            kept.sort()
-                            put(
-                                (
-                                    tuple(mods[:vi] + [code] + mods[vi:]),
-                                    tuple(kept),
-                                    root_used or parent == -2,
-                                    completed,
-                                ),
-                                value,
-                                ((v, parent, adopted), chain),
-                            )
+                    pmask = 1 << (key[parent] >> 3) if parent >= 0 else 0
+                    if parent == -2:
+                        pv, code = -2, _ROOT
+                    elif parent == -1:
+                        pv, code = -1, _OPEN
+                    else:
+                        pv, code = bag[parent], _DONE
+                    for adopted, adopted_vs in subsets:
+                        amask = 0
+                        for i in adopted:
+                            amask |= 1 << (key[i] >> 3)
+                        if amask & pmask:
+                            continue  # v's parent would descend from an adoptee
+                        merged = amask | pmask
+                        low = (merged & -merged).bit_length() - 1
+                        rank = low - 1 if 0 < low <= before else before
+                        b = bytearray(key.translate(_label_map(merged, rank)))
+                        for i in adopted:
+                            b[i] += _DONE - _OPEN
+                        if parent >= 0 and b[parent] & 1:
+                            b[parent] += 1
+                        b.insert(vi, (code + 1 if adopted else code) | (rank + 1) << 3)
+                        if parent == -2:
+                            b[-1] |= _ROOT_USED
+                        put(bytes(b), value, ((v, pv, adopted_vs), chain))
         else:
             vi = bag.index(v)
-            for (statuses, parts, root_used, completed), (value, chain) in states.items():
-                st = statuses[vi]
-                rest = statuses[:vi] + statuses[vi + 1 :]
-                if st == _UNUSED:
-                    put((rest, parts, root_used, completed), value, chain)
+            last = len(bag) - 1
+            for key, (value, chain) in states.items():
+                slot = key[vi]
+                rest = key[:vi] + key[vi + 1 :]
+                if not slot:
+                    put(rest, value, chain)
                     continue
-                if st in (_OPEN, _OPEN_CH):
+                st = slot & 7
+                if st <= _OPEN_CH:
                     continue  # an open vertex can never get a parent once forgotten
                 value2 = value
                 if st in (_ROOT, _DONE):
                     value2 = min(value + 1, k)
-                comp = next(p for p in parts if v in p)
-                if len(comp) == 1:
-                    if completed:
-                        continue  # a second finished tree
-                    if any(s != _UNUSED for s in rest):
-                        continue  # the rest could never reconnect to this piece
-                    parts2 = tuple(p for p in parts if p is not comp)
-                    put((rest, parts2, root_used, True), value2, chain)
-                else:
-                    parts2 = tuple(
-                        sorted(
-                            tuple(x for x in p if x != v) if p is comp else p
-                            for p in parts
-                        )
-                    )
-                    put((rest, parts2, root_used, completed), value2, chain)
+                label = slot >> 3
+                if max(key[:vi], default=0) >> 3 < label:
+                    # v is the first slot of its piece
+                    nxt = next((j for j in range(vi, last) if rest[j] >> 3 == label), -1)
+                    if nxt < 0:
+                        if key[-1] & _CLOSED:
+                            continue  # a second finished tree
+                        if any(rest[:-1]):
+                            continue  # the rest could never reconnect to this piece
+                        put(rest[:-1] + bytes([key[-1] | _CLOSED]), value2, chain)
+                        continue
+                    # the piece now starts at nxt, after the pieces that
+                    # start between the two
+                    top = max(rest[vi:nxt], default=0) >> 3
+                    if top > label:
+                        rest = rest.translate(_label_map(1 << label, top - 1))
+                put(rest, value2, chain)
 
         if created > cfg.table_budget:
             raise OverBudgetError(f"dp table exceeded {cfg.table_budget} states")
@@ -408,11 +430,7 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
             bag.pop(vi)
         states = new_states
 
-    accepted = [
-        (value, chain)
-        for (statuses, parts, root_used, completed), (value, chain) in states.items()
-        if completed
-    ]
+    accepted = [(value, chain) for key, (value, chain) in states.items() if key[-1] & _CLOSED]
     if not accepted:
         return SolveResult(problem, k, False, 0, False, "dp")
     (value, chain) = max(accepted, key=lambda t: t[0])
@@ -520,10 +538,17 @@ def solve_dmlot(
 ) -> SolveResult:
     """Decide whether d has any out-tree with at least k leaves.
 
-    Tries every distinct reachable set d[R_v]; a pipeline witness there
-    is already an out-tree of d, so it settles "yes" unconditionally.
-    A "no" answer names the engine that found the returned value; every
-    region holds a one-leaf tree, so that value is at least 1.
+    An out-tree rooted at u lies inside d[R_u], the subdigraph induced by
+    the set R_u that u reaches, and it grows into an out-branching of
+    d[R_u] without losing a leaf: a vertex hung under a leaf keeps the
+    count, one hung under an internal vertex raises it.  So the answer is
+    the best spanning answer over the regions d[R_u].  Vertices of one
+    strong component reach the same set, so one region per strong
+    component, rooted at its smallest vertex, covers them all.  A
+    pipeline witness in a region is already an out-tree of d, so it
+    settles "yes" unconditionally; otherwise the spanning engines decide
+    the region.  A "no" answer names the engine that found the returned
+    value; every region holds a one-leaf tree, so that value is at least 1.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -533,19 +558,15 @@ def solve_dmlot(
         return SolveResult("dmlot", k, True, 1, True, "trivial", OutTree(0, {}, d.n))
     best = 0
     best_method = "trivial"
-    seen: set[frozenset[int]] = set()
-    for v in range(d.n):
-        region = frozenset(reachable_set(d, v))
-        if region in seen:
-            continue
-        seen.add(region)
-        sub, order = induced_subdigraph(d, region)
+    for comp in strongly_connected_components(d).components:
+        v = comp[0]
+        sub, order = induced_subdigraph(d, reachable_set(d, v))
         out = decompose(sub, k, root=order.index(v))
         if out.is_witness:
             witness = out.witness.relabel(order, d.n)
             return SolveResult("dmlot", k, True, k, True, "decompose-witness", witness)
         res = _decide_with_engines(
-            sub, k, "subtree", out.decomposition, width_budget, dp_budget, bnb_budget
+            sub, k, "spanning", out.decomposition, width_budget, dp_budget, bnb_budget
         )
         if res.answer:
             witness = res.witness.relabel(order, d.n)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from maxleaf.digraph import Digraph, UndirectedGraph
-from maxleaf.errors import ContractError
+from maxleaf.digraph import Digraph, UndirectedGraph, underlying_undirected
+from maxleaf.errors import ContractError, InvariantError, OverBudgetError
 from maxleaf.pathdecomp import PathDecomposition
-from maxleaf.witness import OutTree
+from maxleaf.solver import DpConfig, SolveResult
+from maxleaf.witness import OutTree, validate_out_tree
 
 
 def all_digraphs(n: int):
@@ -253,3 +254,221 @@ def decomposition_check_reference(pd: PathDecomposition, g: UndirectedGraph) -> 
             problems.append(f"edge ({a},{b}) has no common bag")
     if problems:
         raise ContractError("; ".join(problems))
+
+
+# Literal reference for the slot-label rewrite of dp_pathwidth in
+# solver.py: the DP keyed by statuses and a sorted tuple of sorted vertex
+# tuples, kept verbatim (it also returns how many states it created) so
+# the rewrite can be pinned to the same answer, value and state count.
+
+
+def _nice_steps_reference(pd: PathDecomposition) -> list[tuple[str, int]]:
+    steps: list[tuple[str, int]] = []
+    prev: set[int] = set()
+    for bag in pd.bags:
+        cur = set(bag)
+        for v in sorted(prev - cur):
+            steps.append(("-", v))
+        for v in sorted(cur - prev):
+            steps.append(("+", v))
+        prev = cur
+    for v in sorted(prev):
+        steps.append(("-", v))
+    return steps
+
+
+# status codes for a bag vertex inside a DP state
+_UNUSED = 0
+_OPEN = 1  # in the tree, no parent assigned yet, childless
+_OPEN_CH = 2  # same, already has a child
+_ROOT = 3  # the designated root, childless
+_ROOT_CH = 4
+_DONE = 5  # parent assigned, childless
+_DONE_CH = 6
+
+
+def dp_pathwidth_reference(
+    d: Digraph, pd: PathDecomposition, cfg: DpConfig
+) -> tuple[SolveResult, int]:
+    """The tuple-of-tuples DP that dp_pathwidth replaced, returning
+    (result, states created).
+
+    Exact decision by dynamic programming along a path decomposition.
+
+    A state records, per bag vertex, whether it is in the tree and how
+    (open = waiting for a parent, designated root, or parented), the
+    partition of in-tree bag vertices into connected pieces of the
+    partial forest, whether a root was ever designated, and whether the
+    final tree has already been closed off.  Values count leaves among
+    forgotten vertices, saturated at leaf_cap.  A vertex forgotten while
+    still open kills the state; closing a piece is only allowed when it
+    is the last in-tree matter around, and only once.
+    """
+    pd.check(underlying_undirected(d))
+    if pd.width > cfg.width_budget:
+        raise OverBudgetError(
+            f"decomposition width {pd.width} exceeds budget {cfg.width_budget}"
+        )
+    problem = "dmlob" if cfg.mode == "spanning" else "dmlot"
+    k = cfg.leaf_cap
+    arcs = d.arcs
+    spanning = cfg.mode == "spanning"
+    steps = _nice_steps_reference(pd)
+
+    bag: list[int] = []
+    # key: (statuses aligned with sorted bag, partition of in-tree bag
+    # vertices, root designated?, tree closed?) -> (value, move chain)
+    states: dict[tuple, tuple[int, tuple | None]] = {((), (), False, False): (0, None)}
+    created = 1
+
+    for op, v in steps:
+        new_states: dict[tuple, tuple[int, tuple | None]] = {}
+
+        def put(key: tuple, value: int, chain: tuple | None) -> None:
+            nonlocal created
+            cur = new_states.get(key)
+            if cur is None:
+                created += 1
+                new_states[key] = (value, chain)
+            elif value > cur[0]:
+                new_states[key] = (value, chain)
+
+        if op == "+":
+            vi = 0
+            while vi < len(bag) and bag[vi] < v:
+                vi += 1
+            for (statuses, parts, root_used, completed), (value, chain) in states.items():
+                if not spanning:
+                    put(
+                        (statuses[:vi] + (_UNUSED,) + statuses[vi:], parts, root_used, completed),
+                        value,
+                        chain,
+                    )
+                if completed:
+                    continue
+                comp_of = {}
+                for part in parts:
+                    for x in part:
+                        comp_of[x] = part
+                open_ws = [
+                    w
+                    for idx, w in enumerate(bag)
+                    if statuses[idx] in (_OPEN, _OPEN_CH) and (v, w) in arcs
+                ]
+                parent_opts: list[int] = [-1]
+                if not root_used:
+                    parent_opts.append(-2)
+                parent_opts.extend(
+                    u
+                    for idx, u in enumerate(bag)
+                    if statuses[idx] != _UNUSED and (u, v) in arcs
+                )
+                for parent in parent_opts:
+                    for r in range(len(open_ws) + 1):
+                        for adopted in combinations(open_ws, r):
+                            if parent >= 0 and any(
+                                comp_of[parent] is comp_of[w] for w in adopted
+                            ):
+                                continue  # v's parent would descend from an adoptee
+                            mods = list(statuses)
+                            for w in adopted:
+                                wi = bag.index(w)
+                                mods[wi] = _DONE if mods[wi] == _OPEN else _DONE_CH
+                            if parent >= 0:
+                                pi = bag.index(parent)
+                                if mods[pi] in (_OPEN, _ROOT, _DONE):
+                                    mods[pi] += 1
+                            if parent == -2:
+                                code = _ROOT_CH if adopted else _ROOT
+                            elif parent == -1:
+                                code = _OPEN_CH if adopted else _OPEN
+                            else:
+                                code = _DONE_CH if adopted else _DONE
+                            merged = {v}
+                            absorbed = []
+                            for w in adopted:
+                                absorbed.append(comp_of[w])
+                            if parent >= 0:
+                                absorbed.append(comp_of[parent])
+                            for part in absorbed:
+                                merged.update(part)
+                            kept = [p for p in parts if all(p is not a for a in absorbed)]
+                            kept.append(tuple(sorted(merged)))
+                            kept.sort()
+                            put(
+                                (
+                                    tuple(mods[:vi] + [code] + mods[vi:]),
+                                    tuple(kept),
+                                    root_used or parent == -2,
+                                    completed,
+                                ),
+                                value,
+                                ((v, parent, adopted), chain),
+                            )
+        else:
+            vi = bag.index(v)
+            for (statuses, parts, root_used, completed), (value, chain) in states.items():
+                st = statuses[vi]
+                rest = statuses[:vi] + statuses[vi + 1 :]
+                if st == _UNUSED:
+                    put((rest, parts, root_used, completed), value, chain)
+                    continue
+                if st in (_OPEN, _OPEN_CH):
+                    continue  # an open vertex can never get a parent once forgotten
+                value2 = value
+                if st in (_ROOT, _DONE):
+                    value2 = min(value + 1, k)
+                comp = next(p for p in parts if v in p)
+                if len(comp) == 1:
+                    if completed:
+                        continue  # a second finished tree
+                    if any(s != _UNUSED for s in rest):
+                        continue  # the rest could never reconnect to this piece
+                    parts2 = tuple(p for p in parts if p is not comp)
+                    put((rest, parts2, root_used, True), value2, chain)
+                else:
+                    parts2 = tuple(
+                        sorted(
+                            tuple(x for x in p if x != v) if p is comp else p
+                            for p in parts
+                        )
+                    )
+                    put((rest, parts2, root_used, completed), value2, chain)
+
+        if created > cfg.table_budget:
+            raise OverBudgetError(f"dp table exceeded {cfg.table_budget} states")
+        if op == "+":
+            bag.insert(vi, v)
+        else:
+            bag.pop(vi)
+        states = new_states
+
+    accepted = [
+        (value, chain)
+        for (statuses, parts, root_used, completed), (value, chain) in states.items()
+        if completed
+    ]
+    if not accepted:
+        return (SolveResult(problem, k, False, 0, False, "dp"), created)
+    (value, chain) = max(accepted, key=lambda t: t[0])
+    if value < k:
+        return (SolveResult(problem, k, False, value, False, "dp"), created)
+    parent_map: dict[int, int] = {}
+    root = None
+    node = chain
+    while node is not None:
+        (mv, node) = node
+        mv_v, mv_parent, mv_adopted = mv
+        if mv_parent == -2:
+            root = mv_v
+        elif mv_parent >= 0:
+            parent_map[mv_v] = mv_parent
+        for w in mv_adopted:
+            parent_map[w] = mv_v
+    if root is None:
+        raise InvariantError("accepted dp state has no designated root")
+    witness = OutTree(root, parent_map, d.n)
+    report = validate_out_tree(d, witness)
+    if not report.ok or witness.leaf_count < k:
+        raise InvariantError("dp reconstruction produced a bad witness: " + "; ".join(report.errors))
+    return (SolveResult(problem, k, True, k, True, "dp", witness), created)

@@ -224,8 +224,6 @@ def test_multiple_inputs_keep_argument_order(tmp_path, capsys, monkeypatch):
     assert code == 0
     lines = [json.loads(ln) for ln in out.splitlines()]
     assert [ln["answer"] for ln in lines] == [False, True]
-    code2, out2, _ = run_cli(capsys, monkeypatch, argv + ["--jobs", "2"])
-    assert out2 == out
 
 
 def _declared_entry_point(script: str = "maxleaf") -> str:

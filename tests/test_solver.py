@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import maxleaf.solver
 from conftest import cycle, double_cycle, directed_path, out_star, random_digraph
 from maxleaf import (
     ContractError,
@@ -19,10 +24,17 @@ from maxleaf import (
     ordering_to_path_decomposition,
     solve_dmlob,
     solve_dmlot,
+    strongly_connected_components,
     underlying_undirected,
     validate_out_tree,
 )
-from oracles import all_digraphs, spanning_leaf_maximum, subtree_leaf_maximum
+from maxleaf.digraph import induced_subdigraph, reachable_set, source_strong_components
+from oracles import (
+    all_digraphs,
+    dp_pathwidth_reference,
+    spanning_leaf_maximum,
+    subtree_leaf_maximum,
+)
 
 
 def _identity_pd(d):
@@ -313,3 +325,128 @@ def test_driver_budget_falls_back_to_search():
     full = solve_dmlob(d, 3)
     assert (r.answer, r.value) == (full.answer, full.value)
     assert (r2.answer, r2.value) == (full.answer, full.value)
+
+
+# ----------------------------------------- dmlot from the spanning problem
+
+
+def _component_regions(d):
+    """d[R_C] for every strong component C, from its smallest vertex."""
+    for comp in strongly_connected_components(d).components:
+        yield induced_subdigraph(d, reachable_set(d, comp[0]))[0]
+
+
+def _region_pool():
+    """Every labeled 4-vertex digraph, then seeded random digraphs, n <= 8."""
+    yield from all_digraphs(4)
+    rng = random.Random(11)
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        p = rng.uniform(0.1, 0.5)
+        yield Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
+def test_dmlot_is_best_spanning_value_over_component_regions():
+    for d in _region_pool():
+        best, _ = brute_force_out_tree(d)
+        regions = max(brute_force_out_branching(sub)[0] for sub in _component_regions(d))
+        assert best == regions, d.arcs
+        for k in (max(2, best), best + 1):
+            r = solve_dmlot(d, k)
+            assert (r.answer, r.value) == (best >= k, min(best, k)), (d.arcs, k)
+            if r.answer:
+                assert validate_out_tree(d, r.witness).ok
+
+
+def test_dmlot_needs_every_component_region_not_only_sources():
+    d = Digraph(4, [(0, 1), (0, 2), (1, 0), (3, 1)])
+    comps = strongly_connected_components(d)
+    (source,) = source_strong_components(comps)
+    sub, _ = induced_subdigraph(d, reachable_set(d, comps.components[source][0]))
+    assert brute_force_out_branching(sub)[0] == 1
+    assert brute_force_out_tree(d)[0] == 2
+    r = solve_dmlot(d, 2)
+    assert r.answer is True and validate_out_tree(d, r.witness).ok
+
+
+def test_dmlot_searches_each_strong_component_once(monkeypatch):
+    calls = []
+
+    def counting(d, v):
+        calls.append(v)
+        return reachable_set(d, v)
+
+    monkeypatch.setattr(maxleaf.solver, "reachable_set", counting)
+    n = 3000
+    p = list(range(n))
+    random.Random(3).shuffle(p)
+    relabeled_cycle = Digraph(n, [(p[i], p[(i + 1) % n]) for i in range(n)])
+    r = solve_dmlot(relabeled_cycle, 2)
+    assert r.answer is False and r.value == 1
+    assert len(calls) == 1  # one search per vertex would be about n^2 / 2 steps
+    calls.clear()
+    r = solve_dmlot(generate(GenSpec("tournament-transitive", n=8)), 8)
+    assert r.answer is False and r.value == 7
+    assert len(calls) == 8
+
+
+# --------------------------------------- the DP against its tuple-keyed form
+
+
+def _random_ordering_pd(d, seed):
+    order = list(range(d.n))
+    random.Random(seed).shuffle(order)
+    return ordering_to_path_decomposition(underlying_undirected(d), order)
+
+
+def _assert_dp_matches_reference(d, pd, k, mode):
+    cfg = DpConfig(mode, k)
+    ref, created = dp_pathwidth_reference(d, pd, cfg)
+    r = dp_pathwidth(d, pd, cfg)
+    assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, pd.bags, k, mode)
+    if r.answer:
+        assert validate_out_tree(d, r.witness).ok
+    # the same states: the run fits a table of exactly `created` states
+    assert dp_pathwidth(d, pd, DpConfig(mode, k, table_budget=created)).value == r.value
+    if created > 1:
+        with pytest.raises(OverBudgetError):
+            dp_pathwidth(d, pd, DpConfig(mode, k, table_budget=created - 1))
+
+
+def test_dp_matches_reference_on_pipeline_decompositions():
+    pool = [double_cycle(8), cycle(12)] + [
+        generate(GenSpec("strong-random", n=10, extra=5, seed=s)) for s in (0, 2, 3)
+    ] + [generate(GenSpec("min-in-degree-random", n=8, d=2, seed=3))]
+    checked = 0
+    for d in pool:
+        for k in (3, 4):
+            out = decompose(d, k)
+            if out.is_witness or out.decomposition.width > 5:
+                continue
+            for mode in ("spanning", "subtree"):
+                _assert_dp_matches_reference(d, out.decomposition, k, mode)
+                checked += 1
+    assert checked >= 8
+
+
+def test_dp_matches_reference_on_random_orderings():
+    for seed in range(40):
+        d = random_digraph(seed, 3 + seed % 4, 0.3)
+        pd = _random_ordering_pd(d, seed)
+        for k in (2, 3):
+            for mode in ("spanning", "subtree"):
+                _assert_dp_matches_reference(d, pd, k, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    arc_bits=st.integers(min_value=0, max_value=(1 << 30) - 1),
+    seed=st.integers(min_value=0, max_value=10**6),
+    k=st.integers(min_value=1, max_value=4),
+    mode=st.sampled_from(["spanning", "subtree"]),
+)
+def test_dp_matches_reference_property(n, arc_bits, seed, k, mode):
+    slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    d = Digraph(n, [a for i, a in enumerate(slots) if arc_bits >> i & 1])
+    _assert_dp_matches_reference(d, _random_ordering_pd(d, seed), k, mode)
