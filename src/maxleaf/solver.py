@@ -4,6 +4,8 @@ Three engines, equivalent on their common domain:
 
 * branch_and_bound grows partial out-trees vertex by vertex with an
   optimistic leaf bound; exact on any digraph, used as the fallback.
+  In spanning mode the bound drops one leaf per set in a packing of
+  disjoint forced-parent sets (see the function's docstring).
 * dp_pathwidth runs over a path decomposition of the underlying
   undirected graph; exact, fast when the width is small.
 * the brute-force subset oracles live in oracle.py and are only for
@@ -120,6 +122,19 @@ def branch_and_bound(
     defer it (banning the parents it just declined).  The bound is the
     current leaf count plus everything still reachable from the tree.
 
+    In spanning mode a packing of forced parents tightens that bound.
+    Every vertex x outside the tree must still get a parent, and inside
+    this subtree it can only take one from e(x), its in-neighbors not
+    banned for it.  If e(x) is empty the subtree holds no out-branching.
+    If e(x) misses every tree vertex that already has a child, x's
+    parent is a current leaf or a vertex outside the tree, and either
+    way a vertex the bound counts as a leaf stops being one.  Vertices
+    whose sets e(x) are pairwise disjoint take distinct parents, so a
+    greedy packing of c such sets, smallest first, lowers the bound by
+    c.  The bound only prunes subtrees that hold no tree beating the
+    best found so far, so the search meets the same improvements in
+    the same order and returns the same witness.
+
     With a node_budget, exceeding it raises OverBudgetError, unless
     allow_unknown is set, in which case the result has answer None.
     """
@@ -153,16 +168,16 @@ def branch_and_bound(
     def search(root: int) -> None:
         nonlocal best, best_tree, nodes
         tree = 1 << root
-        internal = 0
+        inner = 0  # tree vertices that have a child
         forbidden = [0] * n
 
         def rec() -> None:
-            nonlocal best, best_tree, nodes, tree, internal
+            nonlocal best, best_tree, nodes, tree, inner
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise _BudgetHit
             size = tree.bit_count()
-            leaves = size - internal
+            leaves = size - inner.bit_count()
             complete = size == n
             if mode == "subtree" or complete:
                 if leaves > best:
@@ -186,8 +201,25 @@ def branch_and_bound(
                 if mode == "spanning" and reach != full:
                     return
                 attachable = reach & ~tree
-            if leaves + attachable.bit_count() <= best:
+            bound = leaves + attachable.bit_count()
+            if bound <= best:
                 return
+            if mode == "spanning":
+                forced = []
+                for x in iter_bits(attachable):
+                    e = in_mask[x] & ~forbidden[x]
+                    if not e:
+                        return
+                    if not e & inner:
+                        forced.append(e)
+                forced.sort(key=int.bit_count)
+                taken = 0
+                for e in forced:
+                    if not e & taken:
+                        taken |= e
+                        bound -= 1
+                if bound <= best:
+                    return
             pick = -1
             avail = 0
             for v in iter_bits(full & ~tree):
@@ -202,12 +234,11 @@ def branch_and_bound(
                 parent[pick] = u
                 tree |= bit
                 child_cnt[u] += 1
-                if child_cnt[u] == 1:
-                    internal += 1
+                inner |= 1 << u
                 rec()
                 child_cnt[u] -= 1
                 if child_cnt[u] == 0:
-                    internal -= 1
+                    inner &= ~(1 << u)
                 tree &= ~bit
                 del parent[pick]
                 if best >= k:
@@ -544,11 +575,13 @@ def solve_dmlot(
     count, one hung under an internal vertex raises it.  So the answer is
     the best spanning answer over the regions d[R_u].  Vertices of one
     strong component reach the same set, so one region per strong
-    component, rooted at its smallest vertex, covers them all.  A
-    pipeline witness in a region is already an out-tree of d, so it
-    settles "yes" unconditionally; otherwise the spanning engines decide
-    the region.  A "no" answer names the engine that found the returned
-    value; every region holds a one-leaf tree, so that value is at least 1.
+    component, rooted at its smallest vertex, covers them all.  A region
+    with r vertices holds at most max(1, r - 1) leaves, so a region that
+    cannot beat the best value so far is skipped.  A pipeline witness in
+    a region is already an out-tree of d, so it settles "yes"
+    unconditionally; otherwise the spanning engines decide the region.
+    A "no" answer names the engine that found the returned value; every
+    region holds a one-leaf tree, so that value is at least 1.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -560,7 +593,10 @@ def solve_dmlot(
     best_method = "trivial"
     for comp in strongly_connected_components(d).components:
         v = comp[0]
-        sub, order = induced_subdigraph(d, reachable_set(d, v))
+        region = reachable_set(d, v)
+        if max(1, len(region) - 1) <= best:
+            continue  # too small to beat the best region so far
+        sub, order = induced_subdigraph(d, region)
         out = decompose(sub, k, root=order.index(v))
         if out.is_witness:
             witness = out.witness.relabel(order, d.n)

@@ -7,9 +7,18 @@ package implementations they check.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations, permutations, product
 
-from maxleaf.digraph import Digraph, UndirectedGraph, underlying_undirected
+from maxleaf.digraph import (
+    Digraph,
+    UndirectedGraph,
+    arc_masks,
+    iter_bits,
+    source_strong_components,
+    strongly_connected_components,
+    underlying_undirected,
+)
 from maxleaf.errors import ContractError, InvariantError, OverBudgetError
 from maxleaf.pathdecomp import PathDecomposition
 from maxleaf.solver import DpConfig, SolveResult
@@ -472,3 +481,154 @@ def dp_pathwidth_reference(
     if not report.ok or witness.leaf_count < k:
         raise InvariantError("dp reconstruction produced a bad witness: " + "; ".join(report.errors))
     return (SolveResult(problem, k, True, k, True, "dp", witness), created)
+
+
+# Literal reference for the packing bound of branch_and_bound in
+# solver.py: the search with only the "leaves plus attachable" bound,
+# kept verbatim (it also returns how many nodes it visited) so the
+# tighter search can be pinned to the same answer and witness.
+
+_BNB_MODES = ("spanning", "subtree")
+
+
+class _BnbBudgetHit(Exception):
+    pass
+
+
+def branch_and_bound_reference(
+    d: Digraph,
+    k: int,
+    mode: str,
+    node_budget: int | None = None,
+    allow_unknown: bool = False,
+) -> tuple[SolveResult, int]:
+    """The branch and bound that the packing bound tightened, returning
+    (result, nodes visited).
+
+    Exact decision by depth-first search over partial out-trees.
+
+    Branches on the smallest vertex that currently has an eligible
+    parent in the tree: attach it under each such parent in turn, then
+    defer it (banning the parents it just declined).  The bound is the
+    current leaf count plus everything still reachable from the tree.
+
+    With a node_budget, exceeding it raises OverBudgetError, unless
+    allow_unknown is set, in which case the result has answer None.
+    """
+    if mode not in _BNB_MODES:
+        raise ContractError(f"mode must be one of {_BNB_MODES}, got {mode!r}")
+    if k < 1:
+        raise ContractError("k must be at least 1")
+    if d.n < 1:
+        raise ContractError("empty digraph")
+    problem = "dmlob" if mode == "spanning" else "dmlot"
+    n = d.n
+    full = (1 << n) - 1
+    out_mask, in_mask = arc_masks(d)
+    comps = strongly_connected_components(d)
+    strong = len(comps.components) == 1
+    if mode == "spanning":
+        sources = source_strong_components(comps)
+        if len(sources) != 1:
+            return (SolveResult(problem, k, False, 0, False, "branch-and-bound"), 0)
+        roots = list(comps.components[sources[0]])
+    else:
+        roots = list(range(n))
+
+    best = 0
+    best_tree: tuple[int, dict[int, int]] | None = None
+    nodes = 0
+    parent: dict[int, int] = {}
+    child_cnt = [0] * n
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * (n + d.m) + 100))
+
+    def search(root: int) -> None:
+        nonlocal best, best_tree, nodes
+        tree = 1 << root
+        internal = 0
+        forbidden = [0] * n
+
+        def rec() -> None:
+            nonlocal best, best_tree, nodes, tree, internal
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _BnbBudgetHit
+            size = tree.bit_count()
+            leaves = size - internal
+            complete = size == n
+            if mode == "subtree" or complete:
+                if leaves > best:
+                    best = leaves
+                    best_tree = (root, dict(parent))
+                if best >= k:
+                    return
+            if complete:
+                return
+            if strong:
+                attachable = full & ~tree
+            else:
+                reach = tree
+                frontier = tree
+                while frontier:
+                    grow = 0
+                    for b in iter_bits(frontier):
+                        grow |= out_mask[b]
+                    frontier = grow & ~reach
+                    reach |= frontier
+                if mode == "spanning" and reach != full:
+                    return
+                attachable = reach & ~tree
+            if leaves + attachable.bit_count() <= best:
+                return
+            pick = -1
+            avail = 0
+            for v in iter_bits(full & ~tree):
+                avail = in_mask[v] & tree & ~forbidden[v]
+                if avail:
+                    pick = v
+                    break
+            if pick < 0:
+                return
+            bit = 1 << pick
+            for u in iter_bits(avail):
+                parent[pick] = u
+                tree |= bit
+                child_cnt[u] += 1
+                if child_cnt[u] == 1:
+                    internal += 1
+                rec()
+                child_cnt[u] -= 1
+                if child_cnt[u] == 0:
+                    internal -= 1
+                tree &= ~bit
+                del parent[pick]
+                if best >= k:
+                    return
+            saved = forbidden[pick]
+            forbidden[pick] = saved | (in_mask[pick] & tree)
+            if mode == "subtree" or in_mask[pick] & ~forbidden[pick]:
+                rec()
+            forbidden[pick] = saved
+
+        rec()
+
+    unknown = False
+    try:
+        for r in roots:
+            if best >= k:
+                break
+            search(r)
+    except _BnbBudgetHit:
+        if not allow_unknown:
+            raise OverBudgetError(
+                f"branch and bound exceeded {node_budget} nodes"
+            ) from None
+        unknown = best < k
+
+    if unknown:
+        return (SolveResult(problem, k, None, None, None, "branch-and-bound"), nodes)
+    if best >= k:
+        root, pmap = best_tree
+        witness = OutTree(root, pmap, n)
+        return (SolveResult(problem, k, True, k, True, "branch-and-bound", witness), nodes)
+    return (SolveResult(problem, k, False, best, False, "branch-and-bound"), nodes)

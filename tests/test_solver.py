@@ -31,6 +31,7 @@ from maxleaf import (
 from maxleaf.digraph import induced_subdigraph, reachable_set, source_strong_components
 from oracles import (
     all_digraphs,
+    branch_and_bound_reference,
     dp_pathwidth_reference,
     spanning_leaf_maximum,
     subtree_leaf_maximum,
@@ -126,6 +127,70 @@ def test_bnb_rejects_bad_arguments():
         branch_and_bound(cycle(3), 2, "weird")
     with pytest.raises(ContractError):
         branch_and_bound(cycle(3), 0, "spanning")
+
+
+# ------------------------- branch and bound against its loose-bound form
+
+
+def _assert_bnb_matches_reference(d, k, mode):
+    ref, nodes = branch_and_bound_reference(d, k, mode)
+    r = branch_and_bound(d, k, mode)
+    assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, k, mode)
+    if ref.witness is None:
+        assert r.witness is None
+    else:
+        assert (r.witness.root, r.witness.parent) == (ref.witness.root, ref.witness.parent)
+    # spanning mode visits no more nodes than before, subtree mode exactly as many
+    assert branch_and_bound(d, k, mode, node_budget=nodes).value == r.value
+    if mode == "subtree":
+        with pytest.raises(OverBudgetError):
+            branch_and_bound(d, k, mode, node_budget=nodes - 1)
+
+
+def test_bnb_matches_reference_on_all_four_vertex_digraphs():
+    for d in all_digraphs(4):
+        for k in (1, 2, 3, 4):
+            for mode in ("spanning", "subtree"):
+                _assert_bnb_matches_reference(d, k, mode)
+
+
+def test_bnb_matches_reference_on_seeded_digraphs():
+    rng = random.Random(7)
+    for n in range(5, 11):
+        for _ in range(12):
+            p = rng.uniform(0.15, 0.6)
+            d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+            for k in range(1, n + 1):
+                for mode in ("spanning", "subtree"):
+                    _assert_bnb_matches_reference(d, k, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    arc_bits=st.integers(min_value=0, max_value=(1 << 42) - 1),
+    k=st.integers(min_value=1, max_value=7),
+    mode=st.sampled_from(["spanning", "subtree"]),
+)
+def test_bnb_matches_reference_property(n, arc_bits, k, mode):
+    slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    d = Digraph(n, [a for i, a in enumerate(slots) if arc_bits >> i & 1])
+    _assert_bnb_matches_reference(d, k, mode)
+
+
+@pytest.mark.parametrize(
+    "spec, optimum",
+    [
+        (GenSpec("tournament-random", n=12, seed=1), 10),
+        (GenSpec("multipartite-tournament", parts=(3, 3, 3, 2), seed=1), 8),
+        (GenSpec("min-in-degree-random", n=12, d=2, seed=51), 7),
+    ],
+)
+def test_bnb_proves_dense_optimum_in_few_nodes(spec, optimum):
+    # the loose bound needs 18 721, 34 875 and 6 202 nodes here
+    d = generate(spec)
+    r = branch_and_bound(d, d.n, "spanning", node_budget=1_000)
+    assert r.answer is False and r.value == optimum
 
 
 # ------------------------------------------------------------ the DP
@@ -388,6 +453,21 @@ def test_dmlot_searches_each_strong_component_once(monkeypatch):
     r = solve_dmlot(generate(GenSpec("tournament-transitive", n=8)), 8)
     assert r.answer is False and r.value == 7
     assert len(calls) == 8
+
+
+def test_dmlot_skips_regions_that_cannot_beat_the_best(monkeypatch):
+    calls = []
+
+    def counting(d, k, root=None):
+        calls.append(d.n)
+        return decompose(d, k, root=root)
+
+    monkeypatch.setattr(maxleaf.solver, "decompose", counting)
+    # the first region spans all 12 vertices and gives 11 leaves; every
+    # other region has at most 11 vertices, so at most 10 leaves
+    r = solve_dmlot(generate(GenSpec("tournament-transitive", n=12)), 12)
+    assert r.answer is False and r.value == 11
+    assert calls == [12]
 
 
 # --------------------------------------- the DP against its tuple-keyed form
