@@ -12,33 +12,33 @@ Three engines, equivalent on their common domain:
   cross-checking at small n.
 
 solve_dmlob / solve_dmlot combine decompose() with these engines: a
-witness from the pipeline settles "yes" instantly (for spanning only
-inside the family where the out-tree value transfers), otherwise the
+witness from the pipeline settles "yes" at once, otherwise the
 pipeline's decomposition feeds the DP, with branch and bound behind it.
 
-solve_dmlot reduces to the spanning problem.  An out-tree rooted at u
-lies in d[R_u], the subdigraph induced by the vertices u reaches, and
-growing it into an out-branching of d[R_u] never loses a leaf: hanging
-a new vertex under a leaf keeps the count, hanging it under an internal
-vertex raises it.  So the out-tree optimum of d is the largest spanning
-optimum over the regions d[R_C], one per strong component C, since all
-vertices of C reach the same set.
+Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
+the subdigraph induced by the vertices u reaches, and growing it by
+breadth-first search into an out-branching of d[R_u] never loses a
+leaf: hanging a new vertex under a leaf keeps the count, hanging it
+under an internal vertex raises it.  For solve_dmlob, a witness rooted
+in the source strong component therefore grows into a spanning one
+with at least k leaves.  For solve_dmlot, the out-tree optimum of d is
+the largest spanning optimum over the regions d[R_C], one per strong
+component C, since all vertices of C reach the same set.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .decompose import decompose, find_out_branching
+from .decompose import decompose, find_out_branching, grow_out_tree
 from .digraph import (
     Digraph,
     arc_masks,
-    in_L_sufficient,
+    in_L_sufficient,  # not called here: perfbench/spans.py wraps this name
     induced_subdigraph,
     iter_bits,
     reachable_set,
@@ -62,15 +62,14 @@ class SolveResult:
     """Answer to one decision instance.
 
     value is min(exact optimum, k); at_least_k records whether the
-    optimum reached k.  answer None appears only from branch_and_bound
-    with allow_unknown=True after a node-budget abort.
+    optimum reached k.
     """
 
     problem: str
     k: int
-    answer: bool | None
-    value: int | None
-    at_least_k: bool | None
+    answer: bool
+    value: int
+    at_least_k: bool
     method: str
     witness: OutTree | None = None
 
@@ -104,16 +103,11 @@ class DpConfig:
             raise ContractError("budgets must be positive")
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def branch_and_bound(
     d: Digraph,
     k: int,
     mode: str,
     node_budget: int | None = None,
-    allow_unknown: bool = False,
 ) -> SolveResult:
     """Exact decision by depth-first search over partial out-trees.
 
@@ -135,8 +129,7 @@ def branch_and_bound(
     best found so far, so the search meets the same improvements in
     the same order and returns the same witness.
 
-    With a node_budget, exceeding it raises OverBudgetError, unless
-    allow_unknown is set, in which case the result has answer None.
+    With a node_budget, exceeding it raises OverBudgetError.
     """
     if mode not in _MODES:
         raise ContractError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -175,7 +168,7 @@ def branch_and_bound(
             nonlocal best, best_tree, nodes, tree, inner
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                raise _BudgetHit
+                raise OverBudgetError(f"branch and bound exceeded {node_budget} nodes")
             size = tree.bit_count()
             leaves = size - inner.bit_count()
             complete = size == n
@@ -251,21 +244,11 @@ def branch_and_bound(
 
         rec()
 
-    unknown = False
-    try:
-        for r in roots:
-            if best >= k:
-                break
-            search(r)
-    except _BudgetHit:
-        if not allow_unknown:
-            raise OverBudgetError(
-                f"branch and bound exceeded {node_budget} nodes"
-            ) from None
-        unknown = best < k
+    for r in roots:
+        if best >= k:
+            break
+        search(r)
 
-    if unknown:
-        return SolveResult(problem, k, None, None, None, "branch-and-bound")
     if best >= k:
         root, pmap = best_tree
         witness = OutTree(root, pmap, n)
@@ -516,45 +499,29 @@ def solve_dmlob(
 ) -> SolveResult:
     """Decide whether some spanning out-tree of d has at least k leaves.
 
-    Exact for every digraph.  The decomposition pipeline's witness
-    settles "yes" directly only when the in-neighbor condition
-    in_L_sufficient holds (it transfers the out-tree's leaf count to a
-    spanning one); otherwise the DP or branch and bound decides.
+    Exact for every digraph.  A pipeline witness rooted in the source
+    strong component grows into a spanning one with no fewer leaves (see
+    the module docstring), so it settles "yes".  A witness rooted
+    elsewhere goes to branch and bound, and a decomposition to the DP,
+    with branch and bound behind it.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
     if d.n < 1:
         raise ContractError("empty digraph")
     comps = strongly_connected_components(d)
-    if len(source_strong_components(comps)) != 1:
+    sources = source_strong_components(comps)
+    if len(sources) != 1:
         return SolveResult("dmlob", k, False, 0, False, "trivial")
     if k == 1:
         t = find_out_branching(d)
         return SolveResult("dmlob", k, True, 1, True, "trivial", t)
-    guaranteed = in_L_sufficient(d)
-    if not guaranteed:
-        warnings.warn(
-            "in_L_sufficient(d) is false: witness shortcuts are disabled and "
-            "the exact engines decide",
-            stacklevel=2,
-        )
     out = decompose(d, k)
     if out.is_witness:
-        if not guaranteed:
-            return branch_and_bound(d, k, "spanning", node_budget=bnb_budget)
-        witness = out.witness
-        if not witness.is_spanning():
-            # best effort: swap in a spanning witness when cheap to find
-            upgraded = branch_and_bound(
-                d, k, "spanning", node_budget=50_000, allow_unknown=True
-            )
-            if upgraded.answer is False:
-                raise InvariantError(
-                    "family guarantee violated: out-tree witness with no spanning counterpart"
-                )
-            if upgraded.answer:
-                witness = upgraded.witness
-        return SolveResult("dmlob", k, True, k, True, "decompose-witness", witness)
+        if comps.component_of[out.witness.root] == sources[0]:
+            witness = grow_out_tree(d, out.witness)
+            return SolveResult("dmlob", k, True, k, True, "decompose-witness", witness)
+        return branch_and_bound(d, k, "spanning", node_budget=bnb_budget)
     return _decide_with_engines(
         d, k, "spanning", out.decomposition, width_budget, dp_budget, bnb_budget
     )
@@ -569,19 +536,15 @@ def solve_dmlot(
 ) -> SolveResult:
     """Decide whether d has any out-tree with at least k leaves.
 
-    An out-tree rooted at u lies inside d[R_u], the subdigraph induced by
-    the set R_u that u reaches, and it grows into an out-branching of
-    d[R_u] without losing a leaf: a vertex hung under a leaf keeps the
-    count, one hung under an internal vertex raises it.  So the answer is
-    the best spanning answer over the regions d[R_u].  Vertices of one
-    strong component reach the same set, so one region per strong
-    component, rooted at its smallest vertex, covers them all.  A region
-    with r vertices holds at most max(1, r - 1) leaves, so a region that
-    cannot beat the best value so far is skipped.  A pipeline witness in
-    a region is already an out-tree of d, so it settles "yes"
-    unconditionally; otherwise the spanning engines decide the region.
-    A "no" answer names the engine that found the returned value; every
-    region holds a one-leaf tree, so that value is at least 1.
+    The answer is the best spanning answer over the regions d[R_C], one
+    per strong component C and rooted at its smallest vertex (see the
+    module docstring).  A region with r vertices holds at most
+    max(1, r - 1) leaves, so a region that cannot beat the best value so
+    far is skipped.  A pipeline witness in a region is already an
+    out-tree of d, so it settles "yes" unconditionally; otherwise the
+    spanning engines decide the region.  A "no" answer names the engine
+    that found the returned value; every region holds a one-leaf tree,
+    so that value is at least 1.
     """
     if k < 1:
         raise ContractError("k must be at least 1")

@@ -72,9 +72,8 @@ def _check_result(d, res, opt, k, label):
         report = validate_out_tree(d, res.witness)
         assert report.ok, f"{label} k={k}: bad witness: {'; '.join(report.errors)}"
         assert res.witness.leaf_count >= k, f"{label} k={k}: witness too few leaves"
-        if res.problem == "dmlob" and not res.witness.is_spanning():
-            # only the guaranteed-family shortcut may return a non-spanning tree
-            assert in_L_sufficient(d), f"{label} k={k}: non-spanning witness"
+        if res.problem == "dmlob":
+            assert report.spanning, f"{label} k={k}: non-spanning witness"
 
 
 @functools.lru_cache(maxsize=None)

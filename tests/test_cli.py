@@ -275,3 +275,24 @@ def test_console_script_pipe():
         )
         assert solve.returncode == 0, (command, solve.stderr)
         assert json.loads(solve.stdout)["answer"] is True
+
+
+def test_console_script_dmlob_outside_family_is_quiet_and_spanning():
+    # 0->1, 1->2, 2->1, 0->3, 1->3 (0-indexed): no arc enters vertex 2 from
+    # outside its strong component {1, 2}, so in_L_sufficient is false.
+    module, _, function = _declared_entry_point().partition(":")
+    entry = f"import sys; from {module} import {function}; sys.exit({function}())"
+    env = dict(os.environ)
+    src = str(Path(maxleaf.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    solve = subprocess.run(
+        [sys.executable, "-c", entry, "solve", "--problem", "dmlob", "--k", "2"],
+        input="p dig 4 5\na 1 2\na 2 3\na 3 2\na 1 4\na 2 4\n",
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert solve.returncode == 0 and solve.stderr == ""
+    witness = json.loads(solve.stdout)["witness"]
+    covered = {witness["root"], *map(int, witness["parent"])}
+    assert covered == {1, 2, 3, 4}

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -115,8 +116,6 @@ def test_bnb_budget_and_unknown():
     d = double_cycle(8)
     with pytest.raises(OverBudgetError):
         branch_and_bound(d, 3, "spanning", node_budget=20)
-    r = branch_and_bound(d, 3, "spanning", node_budget=20, allow_unknown=True)
-    assert r.answer is None and r.value is None and r.at_least_k is None
     # a generous budget changes nothing
     r2 = branch_and_bound(d, 3, "spanning", node_budget=10**6)
     assert r2.answer is False and r2.value == 2
@@ -297,20 +296,57 @@ def test_solve_dmlob_star_and_sources():
     assert r2.answer is False and r2.value == 0 and r2.method == "trivial"
 
 
-def test_solve_dmlob_outside_family_warns_and_decides():
+def test_solve_dmlob_outside_family_decides_without_warning():
     d = Digraph(3, [(0, 1), (1, 2), (2, 1)])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         r = solve_dmlob(d, 2)
     assert r.answer is False and r.value == 1
 
 
-def test_solve_dmlob_outside_family_witness_goes_through_search():
+def test_solve_dmlob_outside_family_witness_grows_to_spanning():
     d = Digraph(4, [(0, 1), (1, 2), (2, 1), (0, 3), (1, 3)])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         r = solve_dmlob(d, 2)
     assert r.answer is True
-    assert r.method == "branch-and-bound"
+    assert r.method == "decompose-witness"
     assert r.witness.is_spanning()
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # the witness rooted at 0 has two leaves; every out-branching is a path
+        Digraph(4, [(0, 1), (0, 2), (1, 0), (2, 1), (3, 2)]),
+        # the same witness, but branch and bound finds a spanning one from 4
+        Digraph(5, [(0, 1), (0, 2), (1, 0), (2, 1), (3, 4), (4, 2), (4, 3)]),
+    ],
+)
+def test_solve_dmlob_witness_rooted_outside_source_goes_through_search(d):
+    comps = strongly_connected_components(d)
+    (source,) = source_strong_components(comps)
+    out = decompose(d, 2)
+    assert out.is_witness and comps.component_of[out.witness.root] != source
+    opt, _ = brute_force_out_branching(d)
+    r = solve_dmlob(d, 2)
+    assert r.method == "branch-and-bound"
+    assert (r.answer, r.value) == (opt >= 2, min(opt, 2))
+    if r.answer:
+        assert validate_out_tree(d, r.witness).spanning
+
+
+def test_solve_dmlob_matches_oracle_on_all_four_vertex_digraphs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in all_digraphs(4):
+            opt = spanning_leaf_maximum(d)
+            for k in (1, 2, 3, 4):
+                r = solve_dmlob(d, k)
+                assert (r.answer, r.value) == (opt >= k, min(opt, k)), (d.arcs, k)
+                if r.answer:
+                    rep = validate_out_tree(d, r.witness)
+                    assert rep.ok and rep.spanning and rep.leaf_count >= k, (d.arcs, k)
 
 
 def test_solve_dmlob_matches_oracle_on_seeded_instances():
