@@ -51,6 +51,7 @@ from .oracle import ORACLE_MAX_N, brute_force_out_branching, brute_force_out_tre
 from .pathdecomp import (
     PathCover,
     PathDecomposition,
+    min_frontier_ordering,
     ordering_to_path_decomposition,
     vertex_separation,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "in_L_sufficient",
     "instance_id",
     "lemma_order_bound",
+    "min_frontier_ordering",
     "multipartite_bound",
     "ordering_to_path_decomposition",
     "parse_digraph",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .digraph import Digraph, UndirectedGraph
@@ -149,6 +150,61 @@ def vertex_separation(g: UndirectedGraph, order: Sequence[int]) -> int:
         if cur > best:
             best = cur
     return best
+
+
+def min_frontier_ordering(g: UndirectedGraph) -> list[int]:
+    """A vertex ordering of small vertex separation, chosen greedily.
+
+    Call the placed vertices that still have an unplaced neighbor the
+    frontier.  Each step places the unplaced vertex that leaves the
+    smallest frontier, breaking ties by the most placed neighbors, then
+    by the smallest label.  Without the middle tie-break a relabeled
+    cycle can come out at separation 3 or more instead of 2.
+
+    Placing v changes the frontier by open(v) - closes(v): open(v) is 1
+    when v has an unplaced neighbor, and closes(v) counts the placed
+    vertices whose only unplaced neighbor is v.  Every vertex keeps the
+    count and the label sum of its unplaced neighbors, so a placed
+    vertex down to one names it without a scan.  Keys change only along
+    edges and sit in a lazy heap: O((n + m) log n).
+    """
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    left = [len(a) for a in adj]  # unplaced neighbors
+    left_sum = [sum(a) for a in adj]  # their label sum
+    placed_nbrs = [0] * n
+    closes = [0] * n
+    placed = [False] * n
+
+    def key(v: int) -> tuple[int, int, int]:
+        return ((left[v] > 0) - closes[v], -placed_nbrs[v], v)
+
+    heap = [key(v) for v in range(n)]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        entry = heappop(heap)
+        v = entry[2]
+        if placed[v] or entry != key(v):
+            continue  # stale
+        placed[v] = True
+        order.append(v)
+        touched = []
+        if left[v] == 1:
+            closes[left_sum[v]] += 1
+            touched.append(left_sum[v])
+        for w in adj[v]:
+            left[w] -= 1
+            left_sum[w] -= v
+            if not placed[w]:
+                placed_nbrs[w] += 1
+                touched.append(w)
+            elif left[w] == 1:
+                closes[left_sum[w]] += 1
+                touched.append(left_sum[w])
+        for w in touched:
+            heappush(heap, key(w))
+    return order
 
 
 def ordering_to_path_decomposition(g: UndirectedGraph, order: Sequence[int]) -> PathDecomposition:

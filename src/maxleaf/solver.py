@@ -12,8 +12,17 @@ Three engines, equivalent on their common domain:
   cross-checking at small n.
 
 solve_dmlob / solve_dmlot combine decompose() with these engines: a
-witness from the pipeline settles "yes" at once, otherwise the
-pipeline's decomposition feeds the DP, with branch and bound behind it.
+witness from the pipeline settles "yes" at once.  Every other case goes
+through one exact chain.  First comes a branch-and-bound try under a
+small work budget, which settles most small inputs in well under a
+millisecond.  A search node costs about n steps, so the try gets
+_TRY_WORK // n nodes.  A spanning search needs at least n nodes to
+reach its first complete tree, so when n^2 > _TRY_WORK the try cannot
+return and is skipped.  Next the DP runs on the narrower of the
+pipeline's decomposition and a greedy min-frontier one; the pipeline's
+is the paper's width-k^3 certificate, which keeps U1 and U2 in every
+bag, and the greedy one is often far narrower.  Last, branch and bound
+runs under the caller's budget.
 
 Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
 the subdigraph induced by the vertices u reaches, and growing it by
@@ -47,12 +56,18 @@ from .digraph import (
     underlying_undirected,
 )
 from .errors import ContractError, InvariantError, OverBudgetError
-from .pathdecomp import PathDecomposition
+from .pathdecomp import (
+    PathDecomposition,
+    min_frontier_ordering,
+    ordering_to_path_decomposition,
+)
 from .witness import OutTree, validate_out_tree
 
 DEFAULT_WIDTH_BUDGET = 8
 DEFAULT_DP_BUDGET = 10_000_000
 DEFAULT_BNB_BUDGET = 100_000_000
+# search nodes times vertices allowed to the first branch-and-bound try
+_TRY_WORK = 20_000
 
 _MODES = ("spanning", "subtree")
 
@@ -475,11 +490,31 @@ def _decide_with_engines(
     d: Digraph,
     k: int,
     mode: str,
-    pd: PathDecomposition,
+    pd: PathDecomposition | None,
     width_budget: int,
     dp_budget: int,
     bnb_budget: int | None,
 ) -> SolveResult:
+    """The exact chain of the module docstring.
+
+    pd is the pipeline's decomposition of d, or None when there is none.
+    The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
+    try that could not reach n nodes is skipped.  The greedy
+    decomposition replaces pd only when it is strictly narrower.
+    """
+    n = d.n
+    tries = _TRY_WORK // n
+    if bnb_budget is not None:
+        tries = min(tries, bnb_budget)
+    if tries >= n:
+        try:
+            return branch_and_bound(d, k, mode, node_budget=tries)
+        except OverBudgetError:
+            pass
+    g = underlying_undirected(d)
+    greedy = ordering_to_path_decomposition(g, min_frontier_ordering(g))
+    if pd is None or greedy.width < pd.width:
+        pd = greedy
     if pd.width <= width_budget:
         try:
             return dp_pathwidth(
@@ -499,11 +534,14 @@ def solve_dmlob(
 ) -> SolveResult:
     """Decide whether some spanning out-tree of d has at least k leaves.
 
-    Exact for every digraph.  A pipeline witness rooted in the source
-    strong component grows into a spanning one with no fewer leaves (see
-    the module docstring), so it settles "yes".  A witness rooted
-    elsewhere goes to branch and bound, and a decomposition to the DP,
-    with branch and bound behind it.
+    Exact for every digraph.  The pipeline starts from the smallest
+    vertex of the source strong component, which is the root
+    find_out_branching picks itself, so the components are computed
+    once.  A pipeline witness rooted in the source strong component
+    grows into a spanning one with no fewer leaves (see the module
+    docstring), so it settles "yes".  A witness rooted elsewhere goes
+    through the exact chain with no pipeline decomposition, and a
+    decomposition goes through it as the DP's first candidate.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -513,18 +551,19 @@ def solve_dmlob(
     sources = source_strong_components(comps)
     if len(sources) != 1:
         return SolveResult("dmlob", k, False, 0, False, "trivial")
+    root = comps.components[sources[0]][0]
     if k == 1:
-        t = find_out_branching(d)
+        t = find_out_branching(d, root)
         return SolveResult("dmlob", k, True, 1, True, "trivial", t)
-    out = decompose(d, k)
+    out = decompose(d, k, root=root)
     if out.is_witness:
         if comps.component_of[out.witness.root] == sources[0]:
             witness = grow_out_tree(d, out.witness)
             return SolveResult("dmlob", k, True, k, True, "decompose-witness", witness)
-        return branch_and_bound(d, k, "spanning", node_budget=bnb_budget)
-    return _decide_with_engines(
-        d, k, "spanning", out.decomposition, width_budget, dp_budget, bnb_budget
-    )
+        pd = None
+    else:
+        pd = out.decomposition
+    return _decide_with_engines(d, k, "spanning", pd, width_budget, dp_budget, bnb_budget)
 
 
 def solve_dmlot(
@@ -542,9 +581,9 @@ def solve_dmlot(
     max(1, r - 1) leaves, so a region that cannot beat the best value so
     far is skipped.  A pipeline witness in a region is already an
     out-tree of d, so it settles "yes" unconditionally; otherwise the
-    spanning engines decide the region.  A "no" answer names the engine
-    that found the returned value; every region holds a one-leaf tree,
-    so that value is at least 1.
+    exact chain decides the region in spanning mode.  A "no" answer
+    names the engine that found the returned value; every region holds
+    a one-leaf tree, so that value is at least 1.
     """
     if k < 1:
         raise ContractError("k must be at least 1")

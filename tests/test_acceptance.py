@@ -7,11 +7,14 @@ gate revisits the same instances to cross-check the two exact engines
 against each other.
 
 Solver calls here use width_budget=6 and dp_budget=200_000 instead of
-the library defaults: the dynamic program is attempted only on
-genuinely narrow decompositions and everything else goes straight to
-branch and bound.  Both engines are exact, so the budgets only select
-which engine decides; the last gate compares them wherever the DP
-actually finished.
+the library defaults.  solve_dmlob and solve_dmlot first try branch
+and bound under a small node budget, which settles nearly every
+instance here; the dynamic program is attempted only when the narrower
+of the pipeline's and a greedy decomposition is genuinely narrow, and
+branch and bound decides the rest.  All engines are exact, so the
+budgets only select which engine decides; the last gate compares the
+DP and branch and bound wherever the DP finished on the pipeline's
+decomposition.
 """
 
 import functools

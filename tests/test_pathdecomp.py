@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle, directed_path, random_digraph
+from conftest import cycle, directed_path, double_cycle, out_star, random_digraph
 from maxleaf import (
     ContractError,
+    Digraph,
     PathCover,
     PathDecomposition,
+    min_frontier_ordering,
     ordering_to_path_decomposition,
     underlying_undirected,
     vertex_separation,
@@ -124,6 +126,62 @@ def _random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
     return UndirectedGraph(
         n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     )
+
+
+def _greedy_width(g: UndirectedGraph) -> int:
+    """Width of the greedy decomposition, after checking the ordering and its bags."""
+    order = min_frontier_ordering(g)
+    assert sorted(order) == list(range(g.n))
+    pd = ordering_to_path_decomposition(g, order)
+    pd.check(g)
+    assert pd.width == vertex_separation(g, order)
+    return pd.width
+
+
+def _relabeled(d: Digraph, seed: int) -> Digraph:
+    p = list(range(d.n))
+    random.Random(seed).shuffle(p)
+    return Digraph(d.n, [(p[a], p[b]) for a, b in d.arcs])
+
+
+def test_greedy_ordering_is_a_valid_ordering_never_below_pathwidth():
+    rng = random.Random(5)
+    for i in range(200):
+        g = _random_graph(rng, rng.randint(1, 10), (0.15, 0.3, 0.5, 0.8)[i % 4])
+        assert _greedy_width(g) >= pathwidth_bruteforce(g)
+    assert min_frontier_ordering(UndirectedGraph(0, [])) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_greedy_ordering_property(data):
+    n = data.draw(st.integers(1, 9))
+    edges = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda t: t[0] != t[1]
+            ),
+            max_size=20,
+        )
+    )
+    g = UndirectedGraph(n, edges)
+    assert _greedy_width(g) >= pathwidth_bruteforce(g)
+
+
+def test_greedy_ordering_is_optimal_on_cycles_paths_and_stars():
+    for n in range(3, 201):
+        assert _greedy_width(underlying_undirected(_relabeled(cycle(n), n))) == 2
+        assert _greedy_width(underlying_undirected(_relabeled(double_cycle(n), n))) == 2
+        assert _greedy_width(underlying_undirected(_relabeled(directed_path(n), n))) <= 2
+        assert _greedy_width(underlying_undirected(_relabeled(out_star(n), n))) == 1
+
+
+def test_greedy_ordering_scales_to_a_long_cycle():
+    n = 10**5
+    p = list(range(n))
+    random.Random(1).shuffle(p)
+    g = UndirectedGraph(n, [(p[i], p[(i + 1) % n]) for i in range(n)])
+    assert vertex_separation(g, min_frontier_ordering(g)) == 2
 
 
 def test_ordering_bags_match_reference_on_seeded_graphs():

@@ -389,7 +389,12 @@ def test_solve_dmlot_value_reports_best_found():
 def test_solve_dmlot_no_answer_names_the_deciding_engine():
     r = solve_dmlot(cycle(10), 3)
     assert r.answer is False and r.value == 1
-    assert r.method == "dp"
+    assert r.method == "branch-and-bound"  # the first try settles it
+    # n^2 above the try's work budget: the try is skipped and the DP decides
+    assert 150 * 150 > maxleaf.solver._TRY_WORK
+    r1 = solve_dmlot(cycle(150), 3)
+    assert r1.answer is False and r1.value == 1
+    assert r1.method == "dp"
     r2 = solve_dmlot(cycle(10), 3, width_budget=0)
     assert r2.answer is False and r2.value == 1
     assert r2.method == "branch-and-bound"
@@ -426,6 +431,88 @@ def test_driver_budget_falls_back_to_search():
     full = solve_dmlob(d, 3)
     assert (r.answer, r.value) == (full.answer, full.value)
     assert (r2.answer, r2.value) == (full.answer, full.value)
+
+
+# ------------------------------------------------------- the exact chain
+
+
+def _recording(monkeypatch, name):
+    """Wrap maxleaf.solver.<name>; each call appends (args, outcome)."""
+    fn = getattr(maxleaf.solver, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverBudgetError as exc:
+            calls.append((args, exc))
+            raise
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(maxleaf.solver, name, wrapper)
+    return calls
+
+
+def test_chain_settles_transitive_tournament_by_search():
+    d = generate(GenSpec("tournament-transitive", n=9))
+    for solve in (solve_dmlob, solve_dmlot):
+        r = solve(d, 9)
+        assert (r.answer, r.value) == (False, 8)
+        assert r.method == "branch-and-bound"
+
+
+def test_chain_decides_large_sparse_instance_by_dp():
+    # the pipeline's width is 10, over the default budget of 8; the
+    # greedy decomposition has width 4
+    d = generate(GenSpec("strong-random", n=1000, extra=6, seed=0))
+    r = solve_dmlob(d, 8)
+    assert (r.answer, r.value) == (False, 6)
+    assert r.method == "dp"
+
+
+def test_chain_runs_dp_on_the_narrower_greedy_decomposition(monkeypatch):
+    d = double_cycle(12)
+    out = decompose(d, 3)
+    assert not out.is_witness and out.decomposition.width == 5
+    calls = _recording(monkeypatch, "dp_pathwidth")
+    # a search budget below n skips the try
+    r = solve_dmlob(d, 3, width_budget=2, bnb_budget=11)
+    assert (r.answer, r.value, r.method) == (False, 2, "dp")
+    ((args, _),) = calls
+    assert args[1].width == 2
+    args[1].check(underlying_undirected(d))
+
+
+def test_chain_keeps_the_pipeline_decomposition_on_a_tie(monkeypatch):
+    d = cycle(150)
+    out = decompose(d, 2)
+    assert not out.is_witness and out.decomposition.width == 2
+    calls = _recording(monkeypatch, "dp_pathwidth")
+    r = solve_dmlob(d, 2)
+    assert (r.answer, r.value, r.method) == (False, 1, "dp")
+    ((args, _),) = calls
+    assert args[1] == out.decomposition
+
+
+def test_chain_try_that_overflows_falls_through_to_dp(monkeypatch):
+    # a spanning search on a cycle takes about 2n nodes: over _TRY_WORK // n
+    # at n = 120, yet n^2 is within _TRY_WORK, so the try runs and overflows
+    n = 120
+    assert n <= maxleaf.solver._TRY_WORK // n < 2 * n
+    calls = _recording(monkeypatch, "branch_and_bound")
+    r = solve_dmlob(cycle(n), 2)
+    assert (r.answer, r.value, r.method) == (False, 1, "dp")
+    ((_, outcome),) = calls
+    assert isinstance(outcome, OverBudgetError)
+
+
+def test_chain_decides_a_witness_rooted_outside_the_source_component(monkeypatch):
+    d = Digraph(4, [(0, 1), (0, 2), (1, 0), (2, 1), (3, 2)])
+    calls = _recording(monkeypatch, "branch_and_bound")
+    r = solve_dmlob(d, 2, bnb_budget=3)  # too small for the try
+    assert (r.answer, r.value, r.method) == (False, 1, "dp")
+    assert calls == []
 
 
 # ----------------------------------------- dmlot from the spanning problem
