@@ -2,14 +2,19 @@
 
 Three engines, equivalent on their common domain:
 
-* branch_and_bound grows partial out-trees vertex by vertex with an
-  optimistic leaf bound; exact on any digraph, used as the fallback.
-  In spanning mode the bound drops one leaf per set in a packing of
-  disjoint forced-parent sets (see the function's docstring).
+* branch_and_bound grows partial out-branchings vertex by vertex with
+  an optimistic leaf bound; exact on any digraph, used as the fallback.
+  The bound drops one leaf per set in a packing of disjoint
+  forced-parent sets (see the function's docstring).
 * dp_pathwidth runs over a path decomposition of the underlying
   undirected graph; exact, fast when the width is small.
 * the brute-force subset oracles live in oracle.py and are only for
   cross-checking at small n.
+
+Both searching engines look for out-branchings only.  Their "subtree"
+mode, and solve_dmlot, answer the out-tree question by the region
+reduction at the end of this docstring (_best_region): one spanning
+search per region, each under the caller's budgets.
 
 solve_dmlob / solve_dmlot combine decompose() with these engines: a
 witness from the pipeline settles "yes" at once.  Every other case goes
@@ -22,7 +27,8 @@ return and is skipped.  Next the DP runs on the narrower of the
 pipeline's decomposition and a greedy min-frontier one; the pipeline's
 is the paper's width-k^3 certificate, which keeps U1 and U2 in every
 bag, and the greedy one is often far narrower.  Last, branch and bound
-runs under the caller's budget.
+runs under the caller's budget, unless the try already ran under that
+budget and overflowed.
 
 Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
 the subdigraph induced by the vertices u reaches, and growing it by
@@ -30,9 +36,9 @@ breadth-first search into an out-branching of d[R_u] never loses a
 leaf: hanging a new vertex under a leaf keeps the count, hanging it
 under an internal vertex raises it.  For solve_dmlob, a witness rooted
 in the source strong component therefore grows into a spanning one
-with at least k leaves.  For solve_dmlot, the out-tree optimum of d is
-the largest spanning optimum over the regions d[R_C], one per strong
-component C, since all vertices of C reach the same set.
+with at least k leaves.  For out-trees, the optimum of d is the largest
+spanning optimum over the regions d[R_C], one per strong component C,
+since all vertices of C reach the same set.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 from .decompose import decompose, find_out_branching, grow_out_tree
 from .digraph import (
@@ -104,6 +111,13 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class DpConfig:
+    """Settings of one dp_pathwidth run.
+
+    mode "spanning" decides dmlob; mode "subtree" decides dmlot by one
+    spanning run per region (see the module docstring).  table_budget
+    caps the states created by each of those runs.
+    """
+
     mode: str
     leaf_cap: int
     width_budget: int = DEFAULT_WIDTH_BUDGET
@@ -118,20 +132,63 @@ class DpConfig:
             raise ContractError("budgets must be positive")
 
 
+def _best_region(
+    d: Digraph,
+    k: int,
+    decide: Callable[[Digraph, tuple[int, ...], int], SolveResult],
+) -> SolveResult:
+    """Decide dmlot on d by deciding dmlob on each region d[R_C].
+
+    There is one region per strong component C, in the order
+    strongly_connected_components lists them, rooted at C's smallest
+    vertex v (see the module docstring).  decide(sub, order, root) gets
+    sub = d[R_C], whose vertex i is order[i] in d and whose vertex root
+    is v.  It answers whether sub has an out-branching with at least k
+    leaves; a "yes" may carry any out-tree of sub with k leaves.
+
+    A region with r vertices holds at most max(1, r - 1) leaves, so a
+    region that cannot beat the best value so far is skipped.  The first
+    "yes" wins, with its witness relabelled into d.  A "no" names the
+    engine that found the returned value; every region holds a one-leaf
+    tree, so that value is at least 1.
+    """
+    best = 0
+    best_method = "trivial"
+    for comp in strongly_connected_components(d).components:
+        v = comp[0]
+        region = reachable_set(d, v)
+        if max(1, len(region) - 1) <= best:
+            continue  # too small to beat the best region so far
+        sub, order = induced_subdigraph(d, region)
+        res = decide(sub, order, order.index(v))
+        if res.answer:
+            witness = res.witness.relabel(order, d.n)
+            return SolveResult("dmlot", k, True, k, True, res.method, witness)
+        if res.value > best:
+            best = res.value
+            best_method = res.method
+    return SolveResult("dmlot", k, False, best, False, best_method)
+
+
 def branch_and_bound(
     d: Digraph,
     k: int,
     mode: str,
     node_budget: int | None = None,
 ) -> SolveResult:
-    """Exact decision by depth-first search over partial out-trees.
+    """Exact decision by depth-first search over partial out-branchings.
 
-    Branches on the smallest vertex that currently has an eligible
+    Mode "spanning" decides dmlob on d.  Mode "subtree" decides dmlot by
+    one spanning search per region (see the module docstring), and the
+    node_budget applies to each of those searches.
+
+    The search starts from each vertex of the source strong component
+    and branches on the smallest vertex that currently has an eligible
     parent in the tree: attach it under each such parent in turn, then
     defer it (banning the parents it just declined).  The bound is the
     current leaf count plus everything still reachable from the tree.
 
-    In spanning mode a packing of forced parents tightens that bound.
+    A packing of forced parents tightens that bound.
     Every vertex x outside the tree must still get a parent, and inside
     this subtree it can only take one from e(x), its in-neighbors not
     banned for it.  If e(x) is empty the subtree holds no out-branching.
@@ -152,19 +209,19 @@ def branch_and_bound(
         raise ContractError("k must be at least 1")
     if d.n < 1:
         raise ContractError("empty digraph")
-    problem = "dmlob" if mode == "spanning" else "dmlot"
+    if mode == "subtree":
+        return _best_region(
+            d, k, lambda sub, order, root: branch_and_bound(sub, k, "spanning", node_budget)
+        )
     n = d.n
     full = (1 << n) - 1
     out_mask, in_mask = arc_masks(d)
     comps = strongly_connected_components(d)
     strong = len(comps.components) == 1
-    if mode == "spanning":
-        sources = source_strong_components(comps)
-        if len(sources) != 1:
-            return SolveResult(problem, k, False, 0, False, "branch-and-bound")
-        roots = list(comps.components[sources[0]])
-    else:
-        roots = list(range(n))
+    sources = source_strong_components(comps)
+    if len(sources) != 1:
+        return SolveResult("dmlob", k, False, 0, False, "branch-and-bound")
+    roots = list(comps.components[sources[0]])
 
     best = 0
     best_tree: tuple[int, dict[int, int]] | None = None
@@ -186,14 +243,10 @@ def branch_and_bound(
                 raise OverBudgetError(f"branch and bound exceeded {node_budget} nodes")
             size = tree.bit_count()
             leaves = size - inner.bit_count()
-            complete = size == n
-            if mode == "subtree" or complete:
+            if size == n:
                 if leaves > best:
                     best = leaves
                     best_tree = (root, dict(parent))
-                if best >= k:
-                    return
-            if complete:
                 return
             if strong:
                 attachable = full & ~tree
@@ -206,28 +259,27 @@ def branch_and_bound(
                         grow |= out_mask[b]
                     frontier = grow & ~reach
                     reach |= frontier
-                if mode == "spanning" and reach != full:
+                if reach != full:
                     return
                 attachable = reach & ~tree
             bound = leaves + attachable.bit_count()
             if bound <= best:
                 return
-            if mode == "spanning":
-                forced = []
-                for x in iter_bits(attachable):
-                    e = in_mask[x] & ~forbidden[x]
-                    if not e:
-                        return
-                    if not e & inner:
-                        forced.append(e)
-                forced.sort(key=int.bit_count)
-                taken = 0
-                for e in forced:
-                    if not e & taken:
-                        taken |= e
-                        bound -= 1
-                if bound <= best:
+            forced = []
+            for x in iter_bits(attachable):
+                e = in_mask[x] & ~forbidden[x]
+                if not e:
                     return
+                if not e & inner:
+                    forced.append(e)
+            forced.sort(key=int.bit_count)
+            taken = 0
+            for e in forced:
+                if not e & taken:
+                    taken |= e
+                    bound -= 1
+            if bound <= best:
+                return
             pick = -1
             avail = 0
             for v in iter_bits(full & ~tree):
@@ -253,7 +305,7 @@ def branch_and_bound(
                     return
             saved = forbidden[pick]
             forbidden[pick] = saved | (in_mask[pick] & tree)
-            if mode == "subtree" or in_mask[pick] & ~forbidden[pick]:
+            if in_mask[pick] & ~forbidden[pick]:
                 rec()
             forbidden[pick] = saved
 
@@ -267,8 +319,8 @@ def branch_and_bound(
     if best >= k:
         root, pmap = best_tree
         witness = OutTree(root, pmap, n)
-        return SolveResult(problem, k, True, k, True, "branch-and-bound", witness)
-    return SolveResult(problem, k, False, best, False, "branch-and-bound")
+        return SolveResult("dmlob", k, True, k, True, "branch-and-bound", witness)
+    return SolveResult("dmlob", k, False, best, False, "branch-and-bound")
 
 
 def _nice_steps(pd: PathDecomposition) -> list[tuple[str, int]]:
@@ -286,8 +338,7 @@ def _nice_steps(pd: PathDecomposition) -> list[tuple[str, int]]:
     return steps
 
 
-# status codes, the low three bits of a DP slot byte (see dp_pathwidth)
-_UNUSED = 0
+# status codes, the low three bits of a DP slot byte (see _dp_spanning)
 _OPEN = 1  # in the tree, no parent assigned yet, childless
 _OPEN_CH = 2  # same, already has a child
 _ROOT = 3  # the designated root, childless
@@ -321,22 +372,12 @@ def _label_map(merged: int, rank: int) -> bytes:
 def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResult:
     """Exact decision by dynamic programming along a path decomposition.
 
-    A state records, per bag vertex, whether it is in the tree and how
-    (open = waiting for a parent, designated root, or parented), the
-    partition of in-tree bag vertices into connected pieces of the
-    partial forest, whether a root was ever designated, and whether the
-    final tree has already been closed off.  Values count leaves among
-    forgotten vertices, saturated at leaf_cap.  A vertex forgotten while
-    still open kills the state; closing a piece is only allowed when it
-    is the last in-tree matter around, and only once.
-
-    A state is a bytes key: one byte per bag slot, in sorted bag order,
-    then a flags byte.  A slot byte is status | label << 3, where the
-    label names the vertex's piece.  Label 0 means "not in the tree",
-    and the pieces are labelled 1, 2, ... in the order of their first
-    slot, so each partition has exactly one labelling.  Merging pieces
-    on introduce, and dropping a piece's first member on forget,
-    renumber the labels with one bytes.translate.
+    pd must be a path decomposition of d's underlying undirected graph
+    no wider than cfg.width_budget.  Mode "spanning" decides dmlob on d.
+    Mode "subtree" decides dmlot by one spanning run per region (see the
+    module docstring), each on pd restricted to the region: a path
+    decomposition of the region's underlying graph, no wider than pd.
+    cfg.table_budget applies to each run.
     """
     pd.check(underlying_undirected(d))
     if pd.width > cfg.width_budget:
@@ -345,9 +386,49 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
         )
     if pd.width >= _MAX_SLOTS:
         raise OverBudgetError(f"dp states hold at most {_MAX_SLOTS} bag slots")
-    problem = "dmlob" if cfg.mode == "spanning" else "dmlot"
     k = cfg.leaf_cap
-    spanning = cfg.mode == "spanning"
+    if cfg.mode == "subtree":
+        return _best_region(
+            d,
+            k,
+            lambda sub, order, root: _dp_spanning(
+                sub, _restricted(pd, order), k, cfg.table_budget
+            ),
+        )
+    return _dp_spanning(d, pd, k, cfg.table_budget)
+
+
+def _restricted(pd: PathDecomposition, order: tuple[int, ...]) -> PathDecomposition:
+    """pd restricted to the vertices in order, relabelled as
+    induced_subdigraph numbers them: order[i] becomes i."""
+    local = {v: i for i, v in enumerate(order)}
+    return PathDecomposition([local[v] for v in bag if v in local] for bag in pd.bags)
+
+
+def _dp_spanning(
+    d: Digraph, pd: PathDecomposition, k: int, table_budget: int
+) -> SolveResult:
+    """The DP behind dp_pathwidth: does d have an out-branching with at
+    least k leaves?  pd is already checked against d.
+
+    A state records, per bag vertex, how it sits in the tree (open =
+    waiting for a parent, designated root, or parented), the partition
+    of the bag into connected pieces of the partial forest, whether a
+    root was ever designated, and whether the final tree has already
+    been closed off.  Every bag vertex is in the tree, since the tree
+    spans.  Values count leaves among forgotten vertices, saturated at
+    k.  A vertex forgotten while still open kills the state; closing a
+    piece is only allowed when it is the last matter around, and only
+    once.
+
+    A state is a bytes key: one byte per bag slot, in sorted bag order,
+    then a flags byte.  A slot byte is status | label << 3, where the
+    label names the vertex's piece.  The pieces are labelled 1, 2, ...
+    in the order of their first slot, so each partition has exactly one
+    labelling.  Merging pieces on introduce, and dropping a piece's
+    first member on forget, renumber the labels with one
+    bytes.translate.
+    """
     steps = _nice_steps(pd)
 
     bag: list[int] = []
@@ -374,8 +455,6 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
             # open slots -> their adoptable subsets, in combinations order
             adoptions: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
             for key, (value, chain) in states.items():
-                if not spanning:
-                    put(key[:vi] + b"\0" + key[vi:], value, chain)
                 flags = key[-1]
                 if flags & _CLOSED:
                     continue
@@ -390,7 +469,7 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
                 parent_opts = [-1]
                 if not flags & _ROOT_USED:
                     parent_opts.append(-2)
-                parent_opts.extend(i for i in in_slots if key[i])
+                parent_opts.extend(in_slots)
                 before = max(key[:vi], default=0) >> 3  # pieces that start left of v
                 for parent in parent_opts:
                     pmask = 1 << (key[parent] >> 3) if parent >= 0 else 0
@@ -424,9 +503,6 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
             for key, (value, chain) in states.items():
                 slot = key[vi]
                 rest = key[:vi] + key[vi + 1 :]
-                if not slot:
-                    put(rest, value, chain)
-                    continue
                 st = slot & 7
                 if st <= _OPEN_CH:
                     continue  # an open vertex can never get a parent once forgotten
@@ -440,7 +516,7 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
                     if nxt < 0:
                         if key[-1] & _CLOSED:
                             continue  # a second finished tree
-                        if any(rest[:-1]):
+                        if last:
                             continue  # the rest could never reconnect to this piece
                         put(rest[:-1] + bytes([key[-1] | _CLOSED]), value2, chain)
                         continue
@@ -451,8 +527,8 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
                         rest = rest.translate(_label_map(1 << label, top - 1))
                 put(rest, value2, chain)
 
-        if created > cfg.table_budget:
-            raise OverBudgetError(f"dp table exceeded {cfg.table_budget} states")
+        if created > table_budget:
+            raise OverBudgetError(f"dp table exceeded {table_budget} states")
         if op == "+":
             bag.insert(vi, v)
         else:
@@ -461,10 +537,10 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
 
     accepted = [(value, chain) for key, (value, chain) in states.items() if key[-1] & _CLOSED]
     if not accepted:
-        return SolveResult(problem, k, False, 0, False, "dp")
+        return SolveResult("dmlob", k, False, 0, False, "dp")
     (value, chain) = max(accepted, key=lambda t: t[0])
     if value < k:
-        return SolveResult(problem, k, False, value, False, "dp")
+        return SolveResult("dmlob", k, False, value, False, "dp")
     parent_map: dict[int, int] = {}
     root = None
     node = chain
@@ -483,34 +559,37 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
     report = validate_out_tree(d, witness)
     if not report.ok or witness.leaf_count < k:
         raise InvariantError("dp reconstruction produced a bad witness: " + "; ".join(report.errors))
-    return SolveResult(problem, k, True, k, True, "dp", witness)
+    return SolveResult("dmlob", k, True, k, True, "dp", witness)
 
 
 def _decide_with_engines(
     d: Digraph,
     k: int,
-    mode: str,
     pd: PathDecomposition | None,
     width_budget: int,
     dp_budget: int,
     bnb_budget: int | None,
 ) -> SolveResult:
-    """The exact chain of the module docstring.
+    """The exact chain of the module docstring, deciding dmlob on d.
 
     pd is the pipeline's decomposition of d, or None when there is none.
     The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
     try that could not reach n nodes is skipped.  The greedy
-    decomposition replaces pd only when it is strictly narrower.
+    decomposition replaces pd only when it is strictly narrower.  A try
+    that already ran under bnb_budget and overflowed is not repeated:
+    if the DP does not decide either, its OverBudgetError is raised.
     """
     n = d.n
     tries = _TRY_WORK // n
     if bnb_budget is not None:
         tries = min(tries, bnb_budget)
+    overflow = None
     if tries >= n:
         try:
-            return branch_and_bound(d, k, mode, node_budget=tries)
-        except OverBudgetError:
-            pass
+            return branch_and_bound(d, k, "spanning", node_budget=tries)
+        except OverBudgetError as exc:
+            if tries == bnb_budget:
+                overflow = exc
     g = underlying_undirected(d)
     greedy = ordering_to_path_decomposition(g, min_frontier_ordering(g))
     if pd is None or greedy.width < pd.width:
@@ -518,11 +597,13 @@ def _decide_with_engines(
     if pd.width <= width_budget:
         try:
             return dp_pathwidth(
-                d, pd, DpConfig(mode, k, width_budget, dp_budget)
+                d, pd, DpConfig("spanning", k, width_budget, dp_budget)
             )
         except OverBudgetError:
             pass
-    return branch_and_bound(d, k, mode, node_budget=bnb_budget)
+    if overflow is not None:
+        raise overflow
+    return branch_and_bound(d, k, "spanning", node_budget=bnb_budget)
 
 
 def solve_dmlob(
@@ -563,7 +644,7 @@ def solve_dmlob(
         pd = None
     else:
         pd = out.decomposition
-    return _decide_with_engines(d, k, "spanning", pd, width_budget, dp_budget, bnb_budget)
+    return _decide_with_engines(d, k, pd, width_budget, dp_budget, bnb_budget)
 
 
 def solve_dmlot(
@@ -575,15 +656,11 @@ def solve_dmlot(
 ) -> SolveResult:
     """Decide whether d has any out-tree with at least k leaves.
 
-    The answer is the best spanning answer over the regions d[R_C], one
-    per strong component C and rooted at its smallest vertex (see the
-    module docstring).  A region with r vertices holds at most
-    max(1, r - 1) leaves, so a region that cannot beat the best value so
-    far is skipped.  A pipeline witness in a region is already an
-    out-tree of d, so it settles "yes" unconditionally; otherwise the
-    exact chain decides the region in spanning mode.  A "no" answer
-    names the engine that found the returned value; every region holds
-    a one-leaf tree, so that value is at least 1.
+    The answer is the best spanning answer over the regions d[R_C] (see
+    _best_region).  The pipeline runs on each region from its root.  A
+    pipeline witness in a region is already an out-tree of d, so it
+    settles "yes" unconditionally; otherwise the exact chain decides the
+    region in spanning mode, under the caller's budgets.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -591,25 +668,13 @@ def solve_dmlot(
         raise ContractError("empty digraph")
     if k == 1:
         return SolveResult("dmlot", k, True, 1, True, "trivial", OutTree(0, {}, d.n))
-    best = 0
-    best_method = "trivial"
-    for comp in strongly_connected_components(d).components:
-        v = comp[0]
-        region = reachable_set(d, v)
-        if max(1, len(region) - 1) <= best:
-            continue  # too small to beat the best region so far
-        sub, order = induced_subdigraph(d, region)
-        out = decompose(sub, k, root=order.index(v))
+
+    def decide(sub: Digraph, order: tuple[int, ...], root: int) -> SolveResult:
+        out = decompose(sub, k, root=root)
         if out.is_witness:
-            witness = out.witness.relabel(order, d.n)
-            return SolveResult("dmlot", k, True, k, True, "decompose-witness", witness)
-        res = _decide_with_engines(
-            sub, k, "spanning", out.decomposition, width_budget, dp_budget, bnb_budget
+            return SolveResult("dmlot", k, True, k, True, "decompose-witness", out.witness)
+        return _decide_with_engines(
+            sub, k, out.decomposition, width_budget, dp_budget, bnb_budget
         )
-        if res.answer:
-            witness = res.witness.relabel(order, d.n)
-            return SolveResult("dmlot", k, True, k, True, res.method, witness)
-        if res.value > best:
-            best = res.value
-            best_method = res.method
-    return SolveResult("dmlot", k, False, best, False, best_method)
+
+    return _best_region(d, k, decide)

@@ -632,3 +632,71 @@ def branch_and_bound_reference(
         witness = OutTree(root, pmap, n)
         return (SolveResult(problem, k, True, k, True, "branch-and-bound", witness), nodes)
     return (SolveResult(problem, k, False, best, False, "branch-and-bound"), nodes)
+
+
+# Region-composed references for the subtree modes.  Both engines answer
+# mode "subtree" with one spanning search per region d[R_C]: one per
+# strong component C, in the order strongly_connected_components lists
+# them, from C's smallest vertex, skipping a region too small to beat
+# the best value so far.  The loop is written out again here, on the
+# spanning references above, so the engines are pinned to it without
+# sharing its code.  Each returns (result, largest per-region count).
+
+
+def _regions_reference(d: Digraph):
+    """(d[R_C], order) per strong component C; vertex i of d[R_C] is order[i]."""
+    for comp in strongly_connected_components(d).components:
+        seen = {comp[0]}
+        todo = [comp[0]]
+        while todo:
+            u = todo.pop()
+            for w in d.out_neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        order = tuple(sorted(seen))
+        local = {v: i for i, v in enumerate(order)}
+        arcs = [(local[u], local[v]) for u, v in d.arcs if u in local and v in local]
+        yield Digraph(len(order), arcs), order
+
+
+def _best_region_reference(d: Digraph, k: int, decide) -> tuple[SolveResult, int]:
+    best = 0
+    method = "trivial"
+    most = 0
+    for sub, order in _regions_reference(d):
+        if max(1, sub.n - 1) <= best:
+            continue
+        res, count = decide(sub, order)
+        most = max(most, count)
+        if res.answer:
+            witness = res.witness.relabel(order, d.n)
+            return (SolveResult("dmlot", k, True, k, True, res.method, witness), most)
+        if res.value > best:
+            best = res.value
+            method = res.method
+    return (SolveResult("dmlot", k, False, best, False, method), most)
+
+
+def branch_and_bound_regions_reference(d: Digraph, k: int) -> tuple[SolveResult, int]:
+    """branch_and_bound_reference in spanning mode on every region,
+    returning (result, most nodes one region visited)."""
+    return _best_region_reference(
+        d, k, lambda sub, order: branch_and_bound_reference(sub, k, "spanning")
+    )
+
+
+def dp_pathwidth_regions_reference(
+    d: Digraph, pd: PathDecomposition, cfg: DpConfig
+) -> tuple[SolveResult, int]:
+    """dp_pathwidth_reference in spanning mode on every region, each on
+    pd's bags cut down to the region, returning (result, most states one
+    region created)."""
+
+    def decide(sub: Digraph, order: tuple[int, ...]) -> tuple[SolveResult, int]:
+        local = {v: i for i, v in enumerate(order)}
+        bags = [[local[v] for v in bag if v in local] for bag in pd.bags]
+        spanning = DpConfig("spanning", cfg.leaf_cap, cfg.width_budget, cfg.table_budget)
+        return dp_pathwidth_reference(sub, PathDecomposition(bags), spanning)
+
+    return _best_region_reference(d, cfg.leaf_cap, decide)

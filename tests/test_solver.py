@@ -33,7 +33,9 @@ from maxleaf.digraph import induced_subdigraph, reachable_set, source_strong_com
 from oracles import (
     all_digraphs,
     branch_and_bound_reference,
+    branch_and_bound_regions_reference,
     dp_pathwidth_reference,
+    dp_pathwidth_regions_reference,
     spanning_leaf_maximum,
     subtree_leaf_maximum,
 )
@@ -121,6 +123,25 @@ def test_bnb_budget_and_unknown():
     assert r2.answer is False and r2.value == 2
 
 
+def test_bnb_subtree_budget_applies_to_each_region():
+    # two disjoint double cycles: two regions, each the same digraph
+    half = double_cycle(6)
+    d = Digraph(12, list(half.arcs) + [(u + 6, v + 6) for u, v in half.arcs])
+
+    def finishes(b):
+        try:
+            branch_and_bound(half, 3, "spanning", node_budget=b)
+        except OverBudgetError:
+            return False
+        return True
+
+    nodes = next(b for b in range(1, 10_000) if finishes(b))
+    r = branch_and_bound(d, 3, "subtree", node_budget=nodes)
+    assert (r.answer, r.value) == (False, 2)
+    with pytest.raises(OverBudgetError):
+        branch_and_bound(d, 3, "subtree", node_budget=nodes - 1)
+
+
 def test_bnb_rejects_bad_arguments():
     with pytest.raises(ContractError):
         branch_and_bound(cycle(3), 2, "weird")
@@ -135,15 +156,17 @@ def _assert_bnb_matches_reference(d, k, mode):
     ref, nodes = branch_and_bound_reference(d, k, mode)
     r = branch_and_bound(d, k, mode)
     assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, k, mode)
+    if mode == "subtree":
+        # one spanning search per region: pin the witness and the node
+        # budget to the spanning reference run on each region
+        ref, nodes = branch_and_bound_regions_reference(d, k)
+        assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, k, mode)
     if ref.witness is None:
         assert r.witness is None
     else:
         assert (r.witness.root, r.witness.parent) == (ref.witness.root, ref.witness.parent)
-    # spanning mode visits no more nodes than before, subtree mode exactly as many
+    # the packing bound visits no more nodes than the loose one, per search
     assert branch_and_bound(d, k, mode, node_budget=nodes).value == r.value
-    if mode == "subtree":
-        with pytest.raises(OverBudgetError):
-            branch_and_bound(d, k, mode, node_budget=nodes - 1)
 
 
 def test_bnb_matches_reference_on_all_four_vertex_digraphs():
@@ -507,6 +530,33 @@ def test_chain_try_that_overflows_falls_through_to_dp(monkeypatch):
     assert isinstance(outcome, OverBudgetError)
 
 
+def test_chain_does_not_repeat_a_try_capped_by_the_budget(monkeypatch):
+    # the try runs under bnb_budget = 150, below _TRY_WORK // 120, and
+    # overflows; with width_budget=0 the DP cannot decide either, and a
+    # second search under the same budget would overflow the same way
+    assert 120 <= 150 < maxleaf.solver._TRY_WORK // 120
+    calls = _recording(monkeypatch, "branch_and_bound")
+    for solve in (solve_dmlob, solve_dmlot):
+        calls.clear()
+        with pytest.raises(OverBudgetError):
+            solve(cycle(120), 2, width_budget=0, bnb_budget=150)
+        ((_, outcome),) = calls
+        assert isinstance(outcome, OverBudgetError)
+
+
+def test_drivers_reach_both_engines_through_the_solver_module(monkeypatch):
+    # perfbench/spans.py times the engines by replacing these two
+    # module attributes, so the drivers must look them up there
+    bnb = _recording(monkeypatch, "branch_and_bound")
+    dp = _recording(monkeypatch, "dp_pathwidth")
+    for solve in (solve_dmlob, solve_dmlot):
+        bnb.clear()
+        dp.clear()
+        r = solve(cycle(120), 2)  # the try overflows, then the DP decides
+        assert (r.answer, r.value, r.method) == (False, 1, "dp")
+        assert (len(bnb), len(dp)) == (1, 1)
+
+
 def test_chain_decides_a_witness_rooted_outside_the_source_component(monkeypatch):
     d = Digraph(4, [(0, 1), (0, 2), (1, 0), (2, 1), (3, 2)])
     calls = _recording(monkeypatch, "branch_and_bound")
@@ -602,6 +652,23 @@ def _random_ordering_pd(d, seed):
     return ordering_to_path_decomposition(underlying_undirected(d), order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    arc_bits=st.integers(min_value=0, max_value=(1 << 56) - 1),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_restricted_decomposition_fits_every_region_property(n, arc_bits, seed):
+    slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    d = Digraph(n, [a for i, a in enumerate(slots) if arc_bits >> i & 1])
+    pd = _random_ordering_pd(d, seed)
+    for comp in strongly_connected_components(d).components:
+        sub, order = induced_subdigraph(d, reachable_set(d, comp[0]))
+        restricted = maxleaf.solver._restricted(pd, order)
+        restricted.check(underlying_undirected(sub))
+        assert restricted.width <= pd.width
+
+
 def _assert_dp_matches_reference(d, pd, k, mode):
     cfg = DpConfig(mode, k)
     ref, created = dp_pathwidth_reference(d, pd, cfg)
@@ -609,6 +676,13 @@ def _assert_dp_matches_reference(d, pd, k, mode):
     assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, pd.bags, k, mode)
     if r.answer:
         assert validate_out_tree(d, r.witness).ok
+    if mode == "subtree":
+        # one spanning run per region, each with its own table: pin the
+        # witness, and the budget to the largest table of the spanning
+        # reference per region
+        ref, created = dp_pathwidth_regions_reference(d, pd, cfg)
+        assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, pd.bags, k, mode)
+        assert r.witness == ref.witness, (d.arcs, pd.bags, k, mode)
     # the same states: the run fits a table of exactly `created` states
     assert dp_pathwidth(d, pd, DpConfig(mode, k, table_budget=created)).value == r.value
     if created > 1:
