@@ -89,6 +89,15 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--verbose", action="store_true", help="progress notes on stderr")
 
+    def add_spec(p: _Parser) -> None:
+        """The GenSpec fields other than the seed."""
+        p.add_argument("--family", choices=FAMILIES, required=True)
+        p.add_argument("--n", type=int, default=0)
+        p.add_argument("--d", type=int, default=0)
+        p.add_argument("--parts", type=_parts_arg, default=())
+        p.add_argument("--extra", type=int, default=0)
+        p.add_argument("--oriented", action="store_true")
+
     p_solve = sub.add_parser("solve", help="decide a maximum-leaf problem")
     p_solve.add_argument("--problem", choices=("dmlob", "dmlot"), required=True)
     p_solve.add_argument("--k", type=int, required=True)
@@ -107,22 +116,12 @@ def build_parser() -> _Parser:
     add_io(p_or)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark digraph")
-    p_gen.add_argument("--family", choices=FAMILIES, required=True)
-    p_gen.add_argument("--n", type=int, default=0)
-    p_gen.add_argument("--d", type=int, default=0)
-    p_gen.add_argument("--parts", type=_parts_arg, default=())
-    p_gen.add_argument("--extra", type=int, default=0)
+    add_spec(p_gen)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--oriented", action="store_true")
     add_io(p_gen, with_inputs=False)
 
     p_cb = sub.add_parser("check-bounds", help="verify leaf bounds over seeds, emit CSV")
-    p_cb.add_argument("--family", choices=FAMILIES, required=True)
-    p_cb.add_argument("--n", type=int, default=0)
-    p_cb.add_argument("--d", type=int, default=0)
-    p_cb.add_argument("--parts", type=_parts_arg, default=())
-    p_cb.add_argument("--extra", type=int, default=0)
-    p_cb.add_argument("--oriented", action="store_true")
+    add_spec(p_cb)
     p_cb.add_argument("--seeds", type=_seeds_arg, default=(0, 0), help="seed or lo:hi range")
     p_cb.add_argument("--budget", type=int, default=ORACLE_MAX_N, help="oracle size limit")
     add_io(p_cb, with_inputs=False)
@@ -233,16 +232,20 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
-    spec = GenSpec(
+def _spec(args, seed: int) -> GenSpec:
+    return GenSpec(
         family=args.family,
         n=args.n,
         d=args.d,
         parts=args.parts,
         extra=args.extra,
-        seed=args.seed,
+        seed=seed,
         oriented=args.oriented,
     )
+
+
+def _cmd_gen(args) -> int:
+    spec = _spec(args, args.seed)
     _note(args, f"generating {spec}")
     _write_output(args, write_digraph(generate(spec)))
     return 0
@@ -250,18 +253,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check_bounds(args) -> int:
     lo, hi = args.seeds
-    specs = [
-        GenSpec(
-            family=args.family,
-            n=args.n,
-            d=args.d,
-            parts=args.parts,
-            extra=args.extra,
-            seed=seed,
-            oriented=args.oriented,
-        )
-        for seed in range(lo, hi + 1)
-    ]
+    specs = [_spec(args, seed) for seed in range(lo, hi + 1)]
     _note(args, f"checking bounds on {len(specs)} instances")
     reports = check_bounds(specs, budget=args.budget)
     buf = io.StringIO()

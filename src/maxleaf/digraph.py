@@ -337,11 +337,6 @@ def underlying_undirected(d: Digraph) -> UndirectedGraph:
     return UndirectedGraph(d.n, ((u, v) for u, v in d.arcs))
 
 
-def reverse(d: Digraph) -> Digraph:
-    """Digraph with every arc reversed."""
-    return Digraph(d.n, ((v, u) for u, v in d.arcs))
-
-
 def in_L_sufficient(d: Digraph) -> bool:
     """Sufficient condition for membership in the solvable family.
 

@@ -43,12 +43,11 @@ since all vertices of C reach the same set.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 from .decompose import decompose, find_out_branching, grow_out_tree
 from .digraph import (
@@ -228,7 +227,6 @@ def branch_and_bound(
     nodes = 0
     parent: dict[int, int] = {}
     child_cnt = [0] * n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * (n + d.m) + 100))
 
     def search(root: int) -> None:
         nonlocal best, best_tree, nodes
@@ -236,7 +234,9 @@ def branch_and_bound(
         inner = 0  # tree vertices that have a child
         forbidden = [0] * n
 
-        def rec() -> None:
+        # rec is a generator: each bare yield asks for a recursive call,
+        # which the loop below runs from an explicit stack
+        def rec() -> Iterator[None]:
             nonlocal best, best_tree, nodes, tree, inner
             nodes += 1
             if node_budget is not None and nodes > node_budget:
@@ -295,7 +295,7 @@ def branch_and_bound(
                 tree |= bit
                 child_cnt[u] += 1
                 inner |= 1 << u
-                rec()
+                yield
                 child_cnt[u] -= 1
                 if child_cnt[u] == 0:
                     inner &= ~(1 << u)
@@ -306,10 +306,15 @@ def branch_and_bound(
             saved = forbidden[pick]
             forbidden[pick] = saved | (in_mask[pick] & tree)
             if in_mask[pick] & ~forbidden[pick]:
-                rec()
+                yield
             forbidden[pick] = saved
 
-        rec()
+        stack = [rec()]
+        while stack:
+            if next(stack[-1], True):
+                stack.pop()
+            else:
+                stack.append(rec())
 
     for r in roots:
         if best >= k:
@@ -341,12 +346,9 @@ def _nice_steps(pd: PathDecomposition) -> list[tuple[str, int]]:
 # status codes, the low three bits of a DP slot byte (see _dp_spanning)
 _OPEN = 1  # in the tree, no parent assigned yet, childless
 _OPEN_CH = 2  # same, already has a child
-_ROOT = 3  # the designated root, childless
-_ROOT_CH = 4
-_DONE = 5  # parent assigned, childless
-_DONE_CH = 6
+_DONE = 3  # settled: parent assigned, or made the root; childless
+_DONE_CH = 4
 _ROOT_USED = 1  # flags byte: a root was designated
-_CLOSED = 2  # flags byte: the final tree was closed off
 _MAX_SLOTS = 31  # labels take the five high bits of a slot byte
 
 
@@ -411,15 +413,16 @@ def _dp_spanning(
     """The DP behind dp_pathwidth: does d have an out-branching with at
     least k leaves?  pd is already checked against d.
 
-    A state records, per bag vertex, how it sits in the tree (open =
-    waiting for a parent, designated root, or parented), the partition
-    of the bag into connected pieces of the partial forest, whether a
-    root was ever designated, and whether the final tree has already
-    been closed off.  Every bag vertex is in the tree, since the tree
-    spans.  Values count leaves among forgotten vertices, saturated at
-    k.  A vertex forgotten while still open kills the state; closing a
-    piece is only allowed when it is the last matter around, and only
-    once.
+    A state records, per bag vertex, whether it is open (waiting for a
+    parent) or settled (parented, or made the root), and whether it has
+    a child; the partition of the bag into connected pieces of the
+    partial forest; and whether a root was ever designated.  Every bag
+    vertex is in the tree, since the tree spans.  Values count leaves
+    among forgotten vertices, saturated at k.  A vertex forgotten while
+    still open kills the state.  Forgetting the last bag member of a
+    piece closes the piece, which can never reconnect; that is only
+    allowed at the final step, where it closes the whole tree, so every
+    state that survives the final step is a complete out-branching.
 
     A state is a bytes key: one byte per bag slot, in sorted bag order,
     then a flags byte.  A slot byte is status | label << 3, where the
@@ -430,13 +433,14 @@ def _dp_spanning(
     bytes.translate.
     """
     steps = _nice_steps(pd)
+    final = len(steps) - 1
 
     bag: list[int] = []
     # key -> (value, move chain); a move is (v, parent or -1/-2, adopted)
     states: dict[bytes, tuple[int, tuple | None]] = {bytes([0]): (0, None)}
     created = 1
 
-    for op, v in steps:
+    for step, (op, v) in enumerate(steps):
         new_states: dict[bytes, tuple[int, tuple | None]] = {}
 
         def put(key: bytes, value: int, chain: tuple | None) -> None:
@@ -455,10 +459,7 @@ def _dp_spanning(
             # open slots -> their adoptable subsets, in combinations order
             adoptions: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
             for key, (value, chain) in states.items():
-                flags = key[-1]
-                if flags & _CLOSED:
-                    continue
-                open_ws = tuple(i for i in out_slots if _OPEN <= key[i] & 7 <= _OPEN_CH)
+                open_ws = tuple(i for i in out_slots if key[i] & 7 <= _OPEN_CH)
                 subsets = adoptions.get(open_ws)
                 if subsets is None:
                     subsets = adoptions[open_ws] = [
@@ -467,18 +468,14 @@ def _dp_spanning(
                         for adopted in combinations(open_ws, r)
                     ]
                 parent_opts = [-1]
-                if not flags & _ROOT_USED:
+                if not key[-1] & _ROOT_USED:
                     parent_opts.append(-2)
                 parent_opts.extend(in_slots)
                 before = max(key[:vi], default=0) >> 3  # pieces that start left of v
                 for parent in parent_opts:
                     pmask = 1 << (key[parent] >> 3) if parent >= 0 else 0
-                    if parent == -2:
-                        pv, code = -2, _ROOT
-                    elif parent == -1:
-                        pv, code = -1, _OPEN
-                    else:
-                        pv, code = bag[parent], _DONE
+                    pv = bag[parent] if parent >= 0 else parent
+                    code = _OPEN if parent == -1 else _DONE
                     for adopted, adopted_vs in subsets:
                         amask = 0
                         for i in adopted:
@@ -502,29 +499,26 @@ def _dp_spanning(
             last = len(bag) - 1
             for key, (value, chain) in states.items():
                 slot = key[vi]
-                rest = key[:vi] + key[vi + 1 :]
                 st = slot & 7
                 if st <= _OPEN_CH:
                     continue  # an open vertex can never get a parent once forgotten
-                value2 = value
-                if st in (_ROOT, _DONE):
-                    value2 = min(value + 1, k)
+                rest = key[:vi] + key[vi + 1 :]
+                value2 = min(value + 1, k) if st == _DONE else value
                 label = slot >> 3
                 if max(key[:vi], default=0) >> 3 < label:
                     # v is the first slot of its piece
                     nxt = next((j for j in range(vi, last) if rest[j] >> 3 == label), -1)
                     if nxt < 0:
-                        if key[-1] & _CLOSED:
-                            continue  # a second finished tree
-                        if last:
-                            continue  # the rest could never reconnect to this piece
-                        put(rest[:-1] + bytes([key[-1] | _CLOSED]), value2, chain)
-                        continue
-                    # the piece now starts at nxt, after the pieces that
-                    # start between the two
-                    top = max(rest[vi:nxt], default=0) >> 3
-                    if top > label:
-                        rest = rest.translate(_label_map(1 << label, top - 1))
+                        # the piece closes; before the final step the rest
+                        # could never reconnect to it
+                        if step < final:
+                            continue
+                    else:
+                        # the piece now starts at nxt, after the pieces that
+                        # start between the two
+                        top = max(rest[vi:nxt], default=0) >> 3
+                        if top > label:
+                            rest = rest.translate(_label_map(1 << label, top - 1))
                 put(rest, value2, chain)
 
         if created > table_budget:
@@ -535,10 +529,9 @@ def _dp_spanning(
             bag.pop(vi)
         states = new_states
 
-    accepted = [(value, chain) for key, (value, chain) in states.items() if key[-1] & _CLOSED]
-    if not accepted:
+    if not states:
         return SolveResult("dmlob", k, False, 0, False, "dp")
-    (value, chain) = max(accepted, key=lambda t: t[0])
+    ((value, chain),) = states.values()  # the closed tree's flags byte is the only key
     if value < k:
         return SolveResult("dmlob", k, False, value, False, "dp")
     parent_map: dict[int, int] = {}
@@ -554,7 +547,7 @@ def _dp_spanning(
         for w in mv_adopted:
             parent_map[w] = mv_v
     if root is None:
-        raise InvariantError("accepted dp state has no designated root")
+        raise InvariantError("final dp state has no designated root")
     witness = OutTree(root, parent_map, d.n)
     report = validate_out_tree(d, witness)
     if not report.ok or witness.leaf_count < k:

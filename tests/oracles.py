@@ -269,6 +269,8 @@ def decomposition_check_reference(pd: PathDecomposition, g: UndirectedGraph) -> 
 # solver.py: the DP keyed by statuses and a sorted tuple of sorted vertex
 # tuples, kept verbatim (it also returns how many states it created) so
 # the rewrite can be pinned to the same answer, value and state count.
+# The keyword minimal_state applies the two edits that cut the byte-keyed
+# DP down to an out-branching's state; the default keeps the old design.
 
 
 def _nice_steps_reference(pd: PathDecomposition) -> list[tuple[str, int]]:
@@ -297,7 +299,7 @@ _DONE_CH = 6
 
 
 def dp_pathwidth_reference(
-    d: Digraph, pd: PathDecomposition, cfg: DpConfig
+    d: Digraph, pd: PathDecomposition, cfg: DpConfig, minimal_state: bool = False
 ) -> tuple[SolveResult, int]:
     """The tuple-of-tuples DP that dp_pathwidth replaced, returning
     (result, states created).
@@ -312,7 +314,13 @@ def dp_pathwidth_reference(
     forgotten vertices, saturated at leaf_cap.  A vertex forgotten while
     still open kills the state; closing a piece is only allowed when it
     is the last in-tree matter around, and only once.
+
+    minimal_state (spanning mode only) makes a new root a settled slot
+    (_DONE or _DONE_CH) instead of _ROOT or _ROOT_CH, and allows closing
+    a piece only at the final step.
     """
+    if minimal_state and cfg.mode != "spanning":
+        raise ContractError("minimal_state needs spanning mode")
     pd.check(underlying_undirected(d))
     if pd.width > cfg.width_budget:
         raise OverBudgetError(
@@ -323,6 +331,7 @@ def dp_pathwidth_reference(
     arcs = d.arcs
     spanning = cfg.mode == "spanning"
     steps = _nice_steps_reference(pd)
+    final = len(steps) - 1
 
     bag: list[int] = []
     # key: (statuses aligned with sorted bag, partition of in-tree bag
@@ -330,7 +339,7 @@ def dp_pathwidth_reference(
     states: dict[tuple, tuple[int, tuple | None]] = {((), (), False, False): (0, None)}
     created = 1
 
-    for op, v in steps:
+    for step, (op, v) in enumerate(steps):
         new_states: dict[tuple, tuple[int, tuple | None]] = {}
 
         def put(key: tuple, value: int, chain: tuple | None) -> None:
@@ -387,7 +396,9 @@ def dp_pathwidth_reference(
                                 pi = bag.index(parent)
                                 if mods[pi] in (_OPEN, _ROOT, _DONE):
                                     mods[pi] += 1
-                            if parent == -2:
+                            if parent == -2 and minimal_state:
+                                code = _DONE_CH if adopted else _DONE
+                            elif parent == -2:
                                 code = _ROOT_CH if adopted else _ROOT
                             elif parent == -1:
                                 code = _OPEN_CH if adopted else _OPEN
@@ -431,6 +442,8 @@ def dp_pathwidth_reference(
                 if len(comp) == 1:
                     if completed:
                         continue  # a second finished tree
+                    if minimal_state and step < final:
+                        continue  # closing waits for the final step
                     if any(s != _UNUSED for s in rest):
                         continue  # the rest could never reconnect to this piece
                     parts2 = tuple(p for p in parts if p is not comp)
@@ -687,7 +700,7 @@ def branch_and_bound_regions_reference(d: Digraph, k: int) -> tuple[SolveResult,
 
 
 def dp_pathwidth_regions_reference(
-    d: Digraph, pd: PathDecomposition, cfg: DpConfig
+    d: Digraph, pd: PathDecomposition, cfg: DpConfig, minimal_state: bool = False
 ) -> tuple[SolveResult, int]:
     """dp_pathwidth_reference in spanning mode on every region, each on
     pd's bags cut down to the region, returning (result, most states one
@@ -697,6 +710,6 @@ def dp_pathwidth_regions_reference(
         local = {v: i for i, v in enumerate(order)}
         bags = [[local[v] for v in bag if v in local] for bag in pd.bags]
         spanning = DpConfig("spanning", cfg.leaf_cap, cfg.width_budget, cfg.table_budget)
-        return dp_pathwidth_reference(sub, PathDecomposition(bags), spanning)
+        return dp_pathwidth_reference(sub, PathDecomposition(bags), spanning, minimal_state)
 
     return _best_region_reference(d, cfg.leaf_cap, decide)

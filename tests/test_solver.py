@@ -1,4 +1,5 @@
 import random
+import sys
 import warnings
 
 import pytest
@@ -140,6 +141,19 @@ def test_bnb_subtree_budget_applies_to_each_region():
     assert (r.answer, r.value) == (False, 2)
     with pytest.raises(OverBudgetError):
         branch_and_bound(d, 3, "subtree", node_budget=nodes - 1)
+
+
+def test_bnb_leaves_the_recursion_limit_alone():
+    # the search depth is n on a cycle; oracles.branch_and_bound_reference
+    # raises the limit, so the test pins it first
+    saved = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        r = branch_and_bound(cycle(1200), 2, "spanning")
+        assert (r.answer, r.value) == (False, 1)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_bnb_rejects_bad_arguments():
@@ -671,18 +685,23 @@ def test_restricted_decomposition_fits_every_region_property(n, arc_bits, seed):
 
 def _assert_dp_matches_reference(d, pd, k, mode):
     cfg = DpConfig(mode, k)
-    ref, created = dp_pathwidth_reference(d, pd, cfg)
+    old, old_created = dp_pathwidth_reference(d, pd, cfg)
     r = dp_pathwidth(d, pd, cfg)
-    assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, pd.bags, k, mode)
+    assert (r.answer, r.value) == (old.answer, old.value), (d.arcs, pd.bags, k, mode)
     if r.answer:
-        assert validate_out_tree(d, r.witness).ok
-    if mode == "subtree":
-        # one spanning run per region, each with its own table: pin the
-        # witness, and the budget to the largest table of the spanning
-        # reference per region
-        ref, created = dp_pathwidth_regions_reference(d, pd, cfg)
-        assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, pd.bags, k, mode)
-        assert r.witness == ref.witness, (d.arcs, pd.bags, k, mode)
+        report = validate_out_tree(d, r.witness)
+        assert report.ok and (report.spanning or mode == "subtree")
+    # pin the witness and the budget to the reference cut down to an
+    # out-branching's state; in subtree mode that is one spanning run per
+    # region, each with its own table, so the budget is the largest table
+    if mode == "spanning":
+        ref, created = dp_pathwidth_reference(d, pd, cfg, minimal_state=True)
+    else:
+        ref, created = dp_pathwidth_regions_reference(d, pd, cfg, minimal_state=True)
+        old_created = dp_pathwidth_regions_reference(d, pd, cfg)[1]
+    assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, pd.bags, k, mode)
+    assert r.witness == ref.witness, (d.arcs, pd.bags, k, mode)
+    assert created <= old_created, (d.arcs, pd.bags, k, mode)
     # the same states: the run fits a table of exactly `created` states
     assert dp_pathwidth(d, pd, DpConfig(mode, k, table_budget=created)).value == r.value
     if created > 1:
@@ -706,6 +725,16 @@ def test_dp_matches_reference_on_pipeline_decompositions():
     assert checked >= 8
 
 
+def test_dp_matches_reference_on_all_three_vertex_digraphs():
+    # includes every way of having no out-branching at n = 3
+    for d in all_digraphs(3):
+        for seed in (0, 1):
+            pd = _random_ordering_pd(d, seed)
+            for k in (1, 2, 3):
+                for mode in ("spanning", "subtree"):
+                    _assert_dp_matches_reference(d, pd, k, mode)
+
+
 def test_dp_matches_reference_on_random_orderings():
     for seed in range(40):
         d = random_digraph(seed, 3 + seed % 4, 0.3)
@@ -720,10 +749,11 @@ def test_dp_matches_reference_on_random_orderings():
     n=st.integers(min_value=1, max_value=6),
     arc_bits=st.integers(min_value=0, max_value=(1 << 30) - 1),
     seed=st.integers(min_value=0, max_value=10**6),
-    k=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=6),
     mode=st.sampled_from(["spanning", "subtree"]),
 )
 def test_dp_matches_reference_property(n, arc_bits, seed, k, mode):
     slots = [(u, v) for u in range(n) for v in range(n) if u != v]
     d = Digraph(n, [a for i, a in enumerate(slots) if arc_bits >> i & 1])
     _assert_dp_matches_reference(d, _random_ordering_pd(d, seed), k, mode)
+
