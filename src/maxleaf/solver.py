@@ -18,17 +18,22 @@ search per region, each under the caller's budgets.
 
 solve_dmlob / solve_dmlot combine decompose() with these engines: a
 witness from the pipeline settles "yes" at once.  Every other case goes
-through one exact chain.  First comes a branch-and-bound try under a
-small work budget, which settles most small inputs in well under a
-millisecond.  A search node costs about n steps, so the try gets
-_TRY_WORK // n nodes.  A spanning search needs at least n nodes to
-reach its first complete tree, so when n^2 > _TRY_WORK the try cannot
-return and is skipped.  Next the DP runs on the narrower of the
-pipeline's decomposition and a greedy min-frontier one; the pipeline's
-is the paper's width-k^3 certificate, which keeps U1 and U2 in every
-bag, and the greedy one is often far narrower.  Last, branch and bound
-runs under the caller's budget, unless the try already ran under that
-budget and overflowed.
+through one exact chain of four steps.  First, a root-level bound
+(_packing_bound): vertices whose in-neighbourhoods are pairwise
+disjoint each force a distinct internal parent, so a greedy packing P
+of them caps every out-branching at n - |P| + 1 leaves.  When the
+breadth-first out-branching meets that cap it is optimal, and it
+decides in O(n + m) time; on a cycle both are 1.  Second comes a
+branch-and-bound try under a small work budget, which settles most
+small inputs in well under a millisecond.  A search node costs about n
+steps, so the try gets _TRY_WORK // n nodes.  A spanning search needs
+at least n nodes to reach its first complete tree, so when
+n^2 > _TRY_WORK the try cannot return and is skipped.  Third, the DP
+runs on the narrower of the pipeline's decomposition and a greedy
+min-frontier one; the pipeline's is the paper's width-k^3 certificate,
+which keeps U1 and U2 in every bag, and the greedy one is often far
+narrower.  Last, branch and bound runs under the caller's budget,
+unless the try already ran under that budget and overflowed.
 
 Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
 the subdigraph induced by the vertices u reaches, and growing it by
@@ -55,7 +60,6 @@ from .digraph import (
     arc_masks,
     in_L_sufficient,  # not called here: perfbench/spans.py wraps this name
     induced_subdigraph,
-    iter_bits,
     reachable_set,
     source_strong_components,
     strongly_connected_components,
@@ -142,8 +146,9 @@ def _best_region(
     strongly_connected_components lists them, rooted at C's smallest
     vertex v (see the module docstring).  decide(sub, order, root) gets
     sub = d[R_C], whose vertex i is order[i] in d and whose vertex root
-    is v.  It answers whether sub has an out-branching with at least k
-    leaves; a "yes" may carry any out-tree of sub with k leaves.
+    is v; when C reaches every vertex, sub is d itself and order the
+    identity.  It answers whether sub has an out-branching with at
+    least k leaves; a "yes" may carry any out-tree of sub with k leaves.
 
     A region with r vertices holds at most max(1, r - 1) leaves, so a
     region that cannot beat the best value so far is skipped.  The first
@@ -158,7 +163,10 @@ def _best_region(
         region = reachable_set(d, v)
         if max(1, len(region) - 1) <= best:
             continue  # too small to beat the best region so far
-        sub, order = induced_subdigraph(d, region)
+        if len(region) == d.n:
+            sub, order = d, tuple(range(d.n))
+        else:
+            sub, order = induced_subdigraph(d, region)
         res = decide(sub, order, order.index(v))
         if res.answer:
             witness = res.witness.relabel(order, d.n)
@@ -196,9 +204,11 @@ def branch_and_bound(
     way a vertex the bound counts as a leaf stops being one.  Vertices
     whose sets e(x) are pairwise disjoint take distinct parents, so a
     greedy packing of c such sets, smallest first, lowers the bound by
-    c.  The bound only prunes subtrees that hold no tree beating the
-    best found so far, so the search meets the same improvements in
-    the same order and returns the same witness.
+    c; when the bound less the number of such sets still beats the
+    best, the packing cannot prune and is not built.  The bound only
+    prunes subtrees that hold no tree beating the best found so far, so
+    the search meets the same improvements in the same order and
+    returns the same witness.
 
     With a node_budget, exceeding it raises OverBudgetError.
     """
@@ -255,8 +265,10 @@ def branch_and_bound(
                 frontier = tree
                 while frontier:
                     grow = 0
-                    for b in iter_bits(frontier):
-                        grow |= out_mask[b]
+                    while frontier:
+                        low = frontier & -frontier
+                        grow |= out_mask[low.bit_length() - 1]
+                        frontier ^= low
                     frontier = grow & ~reach
                     reach |= frontier
                 if reach != full:
@@ -266,23 +278,33 @@ def branch_and_bound(
             if bound <= best:
                 return
             forced = []
-            for x in iter_bits(attachable):
+            rest = attachable
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                rest ^= low
                 e = in_mask[x] & ~forbidden[x]
                 if not e:
                     return
                 if not e & inner:
                     forced.append(e)
-            forced.sort(key=int.bit_count)
-            taken = 0
-            for e in forced:
-                if not e & taken:
-                    taken |= e
-                    bound -= 1
-            if bound <= best:
-                return
+            # the packing lowers the bound by at most len(forced)
+            if bound - len(forced) <= best:
+                forced.sort(key=int.bit_count)
+                taken = 0
+                for e in forced:
+                    if not e & taken:
+                        taken |= e
+                        bound -= 1
+                if bound <= best:
+                    return
             pick = -1
             avail = 0
-            for v in iter_bits(full & ~tree):
+            rest = full & ~tree
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
                 avail = in_mask[v] & tree & ~forbidden[v]
                 if avail:
                     pick = v
@@ -290,7 +312,11 @@ def branch_and_bound(
             if pick < 0:
                 return
             bit = 1 << pick
-            for u in iter_bits(avail):
+            rest = avail
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                rest ^= low
                 parent[pick] = u
                 tree |= bit
                 child_cnt[u] += 1
@@ -555,9 +581,32 @@ def _dp_spanning(
     return SolveResult("dmlob", k, True, k, True, "dp", witness)
 
 
+def _packing_bound(d: Digraph) -> int:
+    """Upper bound n - |P| + 1 on the leaves of any out-branching of d.
+
+    P is built greedily: the vertices in order of in-degree, ties by
+    label, each taken when its in-neighbourhood is non-empty and misses
+    every in-neighbourhood taken so far.  In an out-branching, each
+    member of P other than the root takes its parent from its own
+    in-neighbourhood.  Those sets are pairwise disjoint, so the parents
+    are distinct, and each has a child, so each is internal.  At least
+    |P| - 1 vertices are therefore internal, and at most n - |P| + 1
+    are leaves.
+    """
+    taken: set[int] = set()
+    packed = 0
+    for x in sorted(range(d.n), key=d.in_degree):
+        ins = d.in_neighbors(x)
+        if ins and taken.isdisjoint(ins):
+            taken.update(ins)
+            packed += 1
+    return d.n - packed + 1
+
+
 def _decide_with_engines(
     d: Digraph,
     k: int,
+    root: int,
     pd: PathDecomposition | None,
     width_budget: int,
     dp_budget: int,
@@ -565,6 +614,9 @@ def _decide_with_engines(
 ) -> SolveResult:
     """The exact chain of the module docstring, deciding dmlob on d.
 
+    root is a vertex that reaches all of d.  The breadth-first
+    out-branching from root is optimal when its leaf count meets
+    _packing_bound(d), and then decides at once, with method "bound".
     pd is the pipeline's decomposition of d, or None when there is none.
     The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
     try that could not reach n nodes is skipped.  The greedy
@@ -572,6 +624,12 @@ def _decide_with_engines(
     that already ran under bnb_budget and overflowed is not repeated:
     if the DP does not decide either, its OverBudgetError is raised.
     """
+    t = find_out_branching(d, root)
+    if t.leaf_count >= _packing_bound(d):
+        yes = t.leaf_count >= k
+        return SolveResult(
+            "dmlob", k, yes, min(t.leaf_count, k), yes, "bound", t if yes else None
+        )
     n = d.n
     tries = _TRY_WORK // n
     if bnb_budget is not None:
@@ -637,7 +695,7 @@ def solve_dmlob(
         pd = None
     else:
         pd = out.decomposition
-    return _decide_with_engines(d, k, pd, width_budget, dp_budget, bnb_budget)
+    return _decide_with_engines(d, k, root, pd, width_budget, dp_budget, bnb_budget)
 
 
 def solve_dmlot(
@@ -667,7 +725,7 @@ def solve_dmlot(
         if out.is_witness:
             return SolveResult("dmlot", k, True, k, True, "decompose-witness", out.witness)
         return _decide_with_engines(
-            sub, k, out.decomposition, width_budget, dp_budget, bnb_budget
+            sub, k, root, out.decomposition, width_budget, dp_budget, bnb_budget
         )
 
     return _best_region(d, k, decide)

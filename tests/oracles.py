@@ -500,6 +500,9 @@ def dp_pathwidth_reference(
 # solver.py: the search with only the "leaves plus attachable" bound,
 # kept verbatim (it also returns how many nodes it visited) so the
 # tighter search can be pinned to the same answer and witness.
+# The keyword packing (spanning mode only) adds the forced-parent
+# packing to the bound, built in full at every node, so the search's
+# node count can be pinned exactly.
 
 _BNB_MODES = ("spanning", "subtree")
 
@@ -514,6 +517,7 @@ def branch_and_bound_reference(
     mode: str,
     node_budget: int | None = None,
     allow_unknown: bool = False,
+    packing: bool = False,
 ) -> tuple[SolveResult, int]:
     """The branch and bound that the packing bound tightened, returning
     (result, nodes visited).
@@ -534,6 +538,8 @@ def branch_and_bound_reference(
         raise ContractError("k must be at least 1")
     if d.n < 1:
         raise ContractError("empty digraph")
+    if packing and mode != "spanning":
+        raise ContractError("packing needs spanning mode")
     problem = "dmlob" if mode == "spanning" else "dmlot"
     n = d.n
     full = (1 << n) - 1
@@ -593,6 +599,24 @@ def branch_and_bound_reference(
                 attachable = reach & ~tree
             if leaves + attachable.bit_count() <= best:
                 return
+            if packing:
+                inner = sum(1 << u for u in range(n) if child_cnt[u])
+                forced = []
+                for x in iter_bits(attachable):
+                    e = in_mask[x] & ~forbidden[x]
+                    if not e:
+                        return
+                    if not e & inner:
+                        forced.append(e)
+                forced.sort(key=int.bit_count)
+                taken = 0
+                packed = 0
+                for e in forced:
+                    if not e & taken:
+                        taken |= e
+                        packed += 1
+                if leaves + attachable.bit_count() - packed <= best:
+                    return
             pick = -1
             avail = 0
             for v in iter_bits(full & ~tree):

@@ -214,6 +214,27 @@ def test_bnb_matches_reference_property(n, arc_bits, k, mode):
     _assert_bnb_matches_reference(d, k, mode)
 
 
+def test_bnb_node_count_matches_the_packing_reference():
+    # the search skips the packing where it cannot prune, so it must
+    # visit exactly the nodes of the reference that always builds it
+    rng = random.Random(9)
+    pool = [generate(GenSpec("tournament-random", n=12, seed=1)), cycle(30)]
+    for n in range(2, 10):
+        for _ in range(15):
+            p = rng.uniform(0.15, 0.6)
+            pool.append(Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]))
+    for d in pool:
+        for k in range(2, d.n + 1):
+            ref, nodes = branch_and_bound_reference(d, k, "spanning", packing=True)
+            r = branch_and_bound(d, k, "spanning", node_budget=nodes)
+            assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, k)
+            if ref.witness is not None:
+                assert (r.witness.root, r.witness.parent) == (ref.witness.root, ref.witness.parent)
+            if nodes:
+                with pytest.raises(OverBudgetError):
+                    branch_and_bound(d, k, "spanning", node_budget=nodes - 1)
+
+
 @pytest.mark.parametrize(
     "spec, optimum",
     [
@@ -424,18 +445,22 @@ def test_solve_dmlot_value_reports_best_found():
 
 
 def test_solve_dmlot_no_answer_names_the_deciding_engine():
-    r = solve_dmlot(cycle(10), 3)
-    assert r.answer is False and r.value == 1
+    # the packing bound of a double cycle is about n / 2 + 1, far above
+    # its optimum of 2, so it settles none of these
+    r = solve_dmlot(double_cycle(10), 3)
+    assert r.answer is False and r.value == 2
     assert r.method == "branch-and-bound"  # the first try settles it
     # n^2 above the try's work budget: the try is skipped and the DP decides
     assert 150 * 150 > maxleaf.solver._TRY_WORK
-    r1 = solve_dmlot(cycle(150), 3)
-    assert r1.answer is False and r1.value == 1
+    r1 = solve_dmlot(double_cycle(150), 3)
+    assert r1.answer is False and r1.value == 2
     assert r1.method == "dp"
-    r2 = solve_dmlot(cycle(10), 3, width_budget=0)
-    assert r2.answer is False and r2.value == 1
+    r2 = solve_dmlot(double_cycle(10), 3, width_budget=0)
+    assert r2.answer is False and r2.value == 2
     assert r2.method == "branch-and-bound"
     assert solve_dmlot(cycle(10), 1).method == "trivial"
+    # on a cycle the bound meets the breadth-first tree
+    assert solve_dmlot(cycle(10), 3).method == "bound"
 
 
 def test_answers_monotone_in_k():
@@ -522,38 +547,42 @@ def test_chain_runs_dp_on_the_narrower_greedy_decomposition(monkeypatch):
 
 
 def test_chain_keeps_the_pipeline_decomposition_on_a_tie(monkeypatch):
-    d = cycle(150)
+    # a path's packing bound is 2, one above its optimum
+    d = directed_path(150)
     out = decompose(d, 2)
-    assert not out.is_witness and out.decomposition.width == 2
+    assert not out.is_witness and out.decomposition.width == 1
     calls = _recording(monkeypatch, "dp_pathwidth")
     r = solve_dmlob(d, 2)
+    assert r.method != "bound"
     assert (r.answer, r.value, r.method) == (False, 1, "dp")
     ((args, _),) = calls
     assert args[1] == out.decomposition
 
 
 def test_chain_try_that_overflows_falls_through_to_dp(monkeypatch):
-    # a spanning search on a cycle takes about 2n nodes: over _TRY_WORK // n
-    # at n = 120, yet n^2 is within _TRY_WORK, so the try runs and overflows
-    n = 120
-    assert n <= maxleaf.solver._TRY_WORK // n < 2 * n
+    # the spanning search on double_cycle(60) at k=3 needs more than
+    # _TRY_WORK // n nodes, yet n^2 is within _TRY_WORK, so the try runs
+    # and overflows
+    n = 60
+    assert n <= maxleaf.solver._TRY_WORK // n
     calls = _recording(monkeypatch, "branch_and_bound")
-    r = solve_dmlob(cycle(n), 2)
-    assert (r.answer, r.value, r.method) == (False, 1, "dp")
+    r = solve_dmlob(double_cycle(n), 3)
+    assert r.method != "bound"
+    assert (r.answer, r.value, r.method) == (False, 2, "dp")
     ((_, outcome),) = calls
     assert isinstance(outcome, OverBudgetError)
 
 
 def test_chain_does_not_repeat_a_try_capped_by_the_budget(monkeypatch):
-    # the try runs under bnb_budget = 150, below _TRY_WORK // 120, and
+    # the try runs under bnb_budget = 150, below _TRY_WORK // 60, and
     # overflows; with width_budget=0 the DP cannot decide either, and a
     # second search under the same budget would overflow the same way
-    assert 120 <= 150 < maxleaf.solver._TRY_WORK // 120
+    assert 60 <= 150 < maxleaf.solver._TRY_WORK // 60
     calls = _recording(monkeypatch, "branch_and_bound")
     for solve in (solve_dmlob, solve_dmlot):
         calls.clear()
         with pytest.raises(OverBudgetError):
-            solve(cycle(120), 2, width_budget=0, bnb_budget=150)
+            solve(double_cycle(60), 3, width_budget=0, bnb_budget=150)
         ((_, outcome),) = calls
         assert isinstance(outcome, OverBudgetError)
 
@@ -566,8 +595,9 @@ def test_drivers_reach_both_engines_through_the_solver_module(monkeypatch):
     for solve in (solve_dmlob, solve_dmlot):
         bnb.clear()
         dp.clear()
-        r = solve(cycle(120), 2)  # the try overflows, then the DP decides
-        assert (r.answer, r.value, r.method) == (False, 1, "dp")
+        r = solve(double_cycle(60), 3)  # the try overflows, then the DP decides
+        assert r.method != "bound"
+        assert (r.answer, r.value, r.method) == (False, 2, "dp")
         assert (len(bnb), len(dp)) == (1, 1)
 
 
@@ -577,6 +607,40 @@ def test_chain_decides_a_witness_rooted_outside_the_source_component(monkeypatch
     r = solve_dmlob(d, 2, bnb_budget=3)  # too small for the try
     assert (r.answer, r.value, r.method) == (False, 1, "dp")
     assert calls == []
+
+
+def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact():
+    # criterion 1 already checks every answer on the 4-vertex digraphs
+    for d in all_digraphs(4):
+        assert maxleaf.solver._packing_bound(d) >= brute_force_out_branching(d)[0], d.arcs
+    rng = random.Random(15)
+    settled = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        p = rng.uniform(0.1, 0.5)  # sparse enough that many are not strong
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+        span, _ = brute_force_out_branching(d)
+        assert maxleaf.solver._packing_bound(d) >= span, d.arcs
+        tree, _ = brute_force_out_tree(d)
+        for k in range(2, n + 1):
+            for solve, opt in ((solve_dmlob, span), (solve_dmlot, tree)):
+                r = solve(d, k)
+                if r.method != "bound":
+                    continue
+                settled += 1
+                assert (r.answer, r.value) == (opt >= k, min(opt, k)), (d.arcs, k)
+                if r.answer:
+                    assert validate_out_tree(d, r.witness).ok, (d.arcs, k)
+    assert settled > 0
+
+
+def test_bound_settles_a_cycle_without_either_engine(monkeypatch):
+    bnb = _recording(monkeypatch, "branch_and_bound")
+    dp = _recording(monkeypatch, "dp_pathwidth")
+    for solve in (solve_dmlob, solve_dmlot):
+        r = solve(cycle(150), 2)
+        assert (r.answer, r.value, r.method) == (False, 1, "bound")
+    assert bnb == [] and dp == []
 
 
 # ----------------------------------------- dmlot from the spanning problem
