@@ -22,7 +22,6 @@ from .decompose import (
     DecomposeOutcome,
     ForwardArc,
     decompose,
-    decompose_out_tree,
     find_out_branching,
     path_cover_from_out_branching,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "brute_force_out_tree",
     "check_bounds",
     "decompose",
-    "decompose_out_tree",
     "dp_pathwidth",
     "find_out_branching",
     "generate",

@@ -133,21 +133,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_inputs(paths: list[str]) -> list[tuple[str, str]]:
-    if not paths:
-        return [("<stdin>", sys.stdin.read())]
-    out = []
-    for p in paths:
-        if p == "-":
-            out.append(("<stdin>", sys.stdin.read()))
-        else:
-            out.append((p, Path(p).read_text()))
-    return out
-
-
-def _over_inputs(args, worker) -> list[str]:
-    """Run worker(name, text) over every input, in order."""
-    return [worker(name, text) for name, text in _read_inputs(args.inputs)]
+def _over_inputs(args, worker) -> None:
+    """Read every input ('-' or none for stdin), run worker(name, text)
+    on each in order, and write one result line per input."""
+    inputs = [
+        ("<stdin>", sys.stdin.read()) if p == "-" else (p, Path(p).read_text())
+        for p in args.inputs or ["-"]
+    ]
+    lines = [worker(name, text) for name, text in inputs]
+    _write_output(args, "".join(line + "\n" for line in lines))
 
 
 def _note(args, message: str) -> None:
@@ -174,7 +168,7 @@ def _cmd_solve(args) -> int:
         res = solver(d, args.k, dp_budget=args.budget_dp, bnb_budget=args.budget_bnb)
         return json.dumps(solve_result_to_json(res))
 
-    _write_output(args, "".join(line + "\n" for line in _over_inputs(args, worker)))
+    _over_inputs(args, worker)
     return 0
 
 
@@ -202,7 +196,7 @@ def _cmd_decompose(args) -> int:
                 _note(args, "no witness, DOT file not written")
         return json.dumps(outcome_to_json(out))
 
-    _write_output(args, "".join(line + "\n" for line in _over_inputs(args, worker)))
+    _over_inputs(args, worker)
     return 0
 
 
@@ -228,7 +222,7 @@ def _cmd_oracle(args) -> int:
             }
         )
 
-    _write_output(args, "".join(line + "\n" for line in _over_inputs(args, worker)))
+    _over_inputs(args, worker)
     return 0
 
 
@@ -281,7 +275,7 @@ def _cmd_validate(args) -> int:
             raise ParseError(f"bad JSON: {exc}") from None
         return json.dumps(validation_report(against, obj))
 
-    _write_output(args, "".join(line + "\n" for line in _over_inputs(args, worker)))
+    _over_inputs(args, worker)
     return 0
 
 

@@ -1,12 +1,18 @@
 """Win/win engine: either a many-leaf out-tree or a narrow path decomposition.
 
-decompose(d, k) pushes a spanning out-tree of d through a staged
-pipeline.  Each stage either extracts an out-tree with >= k leaves from
-some local structure (off-path out-neighbors, forward arcs along a
-cover path, backward arcs into a prefix) or certifies the structure is
-small and trims it away; when every stage comes up empty the leftovers
-assemble into a path decomposition of the underlying undirected graph
-of width at most k**3.
+decompose(d, k) runs six stages on the breadth-first out-branching of d,
+named in its trace: out-branching, path-cover, off-path, trim,
+backward-arcs and decomposition.  Each stage either extracts an out-tree
+with >= k leaves (the tree itself, off-path out-neighbors, backward arcs
+into a prefix) or certifies the structure is small and trims it away;
+the leftovers assemble into a path decomposition of the underlying
+undirected graph of width at most k**3.
+
+The paper's pipeline, built for any spanning out-tree, also handles
+forward arcs: arcs two or more positions ahead along a cover path.  A
+breadth-first tree has none, since depth grows by one per step along a
+cover path and an arc raises depth by at most one.  The forward-arc
+helpers serve other trees; decompose does not call them.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from typing import Sequence
 from .digraph import (
     Digraph,
     induced_subdigraph,
-    reachable_set,
     source_strong_components,
     strongly_connected_components,
     underlying_undirected,
@@ -30,7 +35,8 @@ from .witness import OutTree, validate_out_tree
 
 @dataclass(frozen=True)
 class ForwardArc:
-    """An arc jumping at least two positions ahead along a host path."""
+    """An arc jumping at least two positions ahead along a host path
+    (never along decompose's breadth-first tree)."""
 
     i: int
     j: int
@@ -222,7 +228,7 @@ def trim_around(d: Digraph, u: set[int], cover: PathCover) -> Digraph:
 
 def forward_arcs_on_path(d: Digraph, p: Sequence[int]) -> list[ForwardArc]:
     """Arcs between path vertices that jump >= 2 positions forward,
-    sorted by position pair."""
+    sorted by position pair; none on a breadth-first tree's cover."""
     pos = {v: i for i, v in enumerate(p)}
     out = []
     for a, b in d.arcs:
@@ -233,6 +239,7 @@ def forward_arcs_on_path(d: Digraph, p: Sequence[int]) -> list[ForwardArc]:
 
 
 def forward_arc_heads(fas: Sequence[ForwardArc]) -> set[int]:
+    """The heads: the set U2 of a tree that is not breadth-first."""
     return {fa.head for fa in fas}
 
 
@@ -261,7 +268,8 @@ def witness_from_forward_arcs(
     gives k leaves, and a position covered by k intervals gives a prefix
     path with k attached heads.  With the input reduced to one arc per
     head, one of the two must succeed whenever there are more than
-    (k-2)*(k-1) heads.
+    (k-2)*(k-1) heads.  decompose does not call it (its tree is
+    breadth-first).
     """
     if not fas:
         return None
@@ -353,7 +361,9 @@ def backward_component_check(
 
 def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
     """Either an out-tree of d with >= k leaves, or a path decomposition
-    of the underlying undirected graph of width <= k**3.
+    of the underlying undirected graph of width <= k**3, by the six
+    stages of the module docstring from root; every bag holds the
+    off-path vertices U1, at most (k-1)^2 of them.
 
     Needs k >= 2 (for k <= 1 the answer is just whether an out-branching
     exists) and a digraph with an out-branching.  Witnesses are checked
@@ -383,7 +393,7 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
         raise InvariantError(f"broken path cover: {exc}") from exc
 
     trace.append("off-path")
-    off_path: list[set[int]] = []
+    u1: set[int] = set()
     for path in cover.paths:
         w = off_path_out_neighbors(d, path)
         if len(w) >= k:
@@ -397,38 +407,20 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
                 for v in w
             }
             return witness(witness_from_off_path(path, w, choice, d.n))
-        off_path.append(w)
+        u1 |= w
 
     trace.append("trim")
-    u1 = set().union(*off_path) if off_path else set()
     if len(u1) > (k - 1) ** 2:
         raise InvariantError(f"|U1| = {len(u1)} exceeds (k-1)^2 = {(k - 1) ** 2}")
     d1 = trim_around(d, u1, cover)
 
-    trace.append("forward-arcs")
-    heads: list[set[int]] = []
-    for path in cover.paths:
-        reduced = reduce_forward_arcs(forward_arcs_on_path(d1, path))
-        t_fw = witness_from_forward_arcs(path, reduced, k, d.n)
-        if t_fw is not None:
-            return witness(t_fw)
-        heads.append(forward_arc_heads(reduced))
-
-    trace.append("trim")
-    u2 = set().union(*heads) if heads else set()
-    if len(u2) > (k - 2) * (k - 1) ** 2:
-        raise InvariantError(
-            f"|U2| = {len(u2)} exceeds (k-2)(k-1)^2 = {(k - 2) * (k - 1) ** 2}"
-        )
-    d2 = trim_around(d1, u2, cover)
-
     trace.append("backward-arcs")
-    for a, b in d2.arcs:
+    for a, b in d1.arcs:
         if cover.where[a][0] != cover.where[b][0]:
             raise InvariantError(f"arc ({a},{b}) still joins two cover paths")
     pieces = []  # (component order, local path, local sigma)
     for path in sorted(cover.paths, key=min):
-        sub, order = induced_subdigraph(d2, path)
+        sub, order = induced_subdigraph(d1, path)
         local = {v: i for i, v in enumerate(order)}
         p_local = [local[v] for v in path]
         res = backward_component_check(sub, p_local, k)
@@ -437,7 +429,6 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
         pieces.append((sub, order, res))
 
     trace.append("decomposition")
-    u = u1 | u2
     bags: list[list[int]] = []
     for sub, order, sigma in pieces:
         local_pd = ordering_to_path_decomposition(underlying_undirected(sub), sigma)
@@ -446,33 +437,11 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
                 f"component ordering has separation {local_pd.width}, expected <= {k}"
             )
         for bag in local_pd.bags:
-            bags.append(sorted({order[x] for x in bag} | u))
+            bags.append(sorted({order[x] for x in bag} | u1))
     pd = PathDecomposition(bags)
-    if pd.width > k**3:
-        raise InvariantError(f"width {pd.width} exceeds k^3 = {k**3}")
     try:
         pd.check(underlying_undirected(d))
     except ContractError as exc:
         raise InvariantError(f"broken decomposition: {exc}") from exc
     return DecomposeOutcome(k, decomposition=pd, trace=trace)
 
-
-def decompose_out_tree(d: Digraph, v: int, k: int) -> DecomposeOutcome:
-    """Run decompose on the part of d reachable from v, rooted at v.
-
-    Vertex ids in the outcome refer to d.  A witness here is an out-tree
-    of d that need not extend to an out-branching; a decomposition
-    covers only the reachable part.
-    """
-    reach = reachable_set(d, v)
-    sub, order = induced_subdigraph(d, reach)
-    local_root = order.index(v)
-    out = decompose(sub, k, root=local_root)
-    if out.is_witness:
-        return DecomposeOutcome(
-            k, witness=out.witness.relabel(order, d.n), trace=out.trace
-        )
-    bags = [[order[x] for x in bag] for bag in out.decomposition.bags]
-    return DecomposeOutcome(
-        k, decomposition=PathDecomposition(bags), trace=out.trace
-    )

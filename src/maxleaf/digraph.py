@@ -43,8 +43,6 @@ class Digraph:
         for u, v in sorted(arc_set):
             out[u].append(v)
             inn[v].append(u)
-        for lst in inn:
-            lst.sort()
         self._out = tuple(tuple(vs) for vs in out)
         self._in = tuple(tuple(us) for us in inn)
 
@@ -100,8 +98,6 @@ class UndirectedGraph:
         for a, b in sorted(edge_set):
             adj[a].append(b)
             adj[b].append(a)
-        for lst in adj:
-            lst.sort()
         self._adj = tuple(tuple(vs) for vs in adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Any
 
 from .decompose import DecomposeOutcome
-from .digraph import Digraph
-from .errors import ParseError
+from .digraph import Digraph, underlying_undirected
+from .errors import ContractError, ParseError
 from .pathdecomp import PathDecomposition
 from .solver import SolveResult
 from .witness import OutTree, validate_out_tree
@@ -124,9 +124,6 @@ def validation_report(d: Digraph, obj: Any) -> dict[str, Any]:
             "spanning": report.spanning,
         }
     if kind == "path-decomposition":
-        from .digraph import underlying_undirected
-        from .errors import ContractError
-
         pd = decomposition_from_json(obj)
         errors: list[str] = []
         try:

@@ -23,7 +23,8 @@ through one exact chain of four steps.  First, a root-level bound
 disjoint each force a distinct internal parent, so a greedy packing P
 of them caps every out-branching at n - |P| + 1 leaves.  When the
 breadth-first out-branching meets that cap it is optimal, and it
-decides in O(n + m) time; on a cycle both are 1.  Second comes a
+decides "no" in O(n + m) time (decompose's first stage already returns
+that tree when it has k leaves); on a cycle both are 1.  Second comes a
 branch-and-bound try under a small work budget, which settles most
 small inputs in well under a millisecond.  A search node costs about n
 steps, so the try gets _TRY_WORK // n nodes.  A spanning search needs
@@ -31,9 +32,9 @@ at least n nodes to reach its first complete tree, so when
 n^2 > _TRY_WORK the try cannot return and is skipped.  Third, the DP
 runs on the narrower of the pipeline's decomposition and a greedy
 min-frontier one; the pipeline's is the paper's width-k^3 certificate,
-which keeps U1 and U2 in every bag, and the greedy one is often far
-narrower.  Last, branch and bound runs under the caller's budget,
-unless the try already ran under that budget and overflowed.
+which keeps the off-path vertices U1 in every bag, and the greedy one
+is often far narrower.  Last, branch and bound runs under the caller's
+budget, unless the try already ran under that budget and overflowed.
 
 Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
 the subdigraph induced by the vertices u reaches, and growing it by
@@ -193,7 +194,8 @@ def branch_and_bound(
     and branches on the smallest vertex that currently has an eligible
     parent in the tree: attach it under each such parent in turn, then
     defer it (banning the parents it just declined).  The bound is the
-    current leaf count plus everything still reachable from the tree.
+    current leaf count plus every vertex outside the tree, all of which
+    the tree reaches, since each root is in the source strong component.
 
     A packing of forced parents tightens that bound.
     Every vertex x outside the tree must still get a parent, and inside
@@ -224,9 +226,8 @@ def branch_and_bound(
         )
     n = d.n
     full = (1 << n) - 1
-    out_mask, in_mask = arc_masks(d)
+    _, in_mask = arc_masks(d)
     comps = strongly_connected_components(d)
-    strong = len(comps.components) == 1
     sources = source_strong_components(comps)
     if len(sources) != 1:
         return SolveResult("dmlob", k, False, 0, False, "branch-and-bound")
@@ -258,22 +259,7 @@ def branch_and_bound(
                     best = leaves
                     best_tree = (root, dict(parent))
                 return
-            if strong:
-                attachable = full & ~tree
-            else:
-                reach = tree
-                frontier = tree
-                while frontier:
-                    grow = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        grow |= out_mask[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = grow & ~reach
-                    reach |= frontier
-                if reach != full:
-                    return
-                attachable = reach & ~tree
+            attachable = full & ~tree
             bound = leaves + attachable.bit_count()
             if bound <= best:
                 return
@@ -300,7 +286,7 @@ def branch_and_bound(
                     return
             pick = -1
             avail = 0
-            rest = full & ~tree
+            rest = attachable
             while rest:
                 low = rest & -rest
                 v = low.bit_length() - 1
@@ -616,7 +602,10 @@ def _decide_with_engines(
 
     root is a vertex that reaches all of d.  The breadth-first
     out-branching from root is optimal when its leaf count meets
-    _packing_bound(d), and then decides at once, with method "bound".
+    _packing_bound(d), and then decides "no" at once, with method
+    "bound": both callers run decompose(d, k, root=root) first, which
+    returns this tree when it has k leaves (SolveResult rejects a "no"
+    whose value reaches k).
     pd is the pipeline's decomposition of d, or None when there is none.
     The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
     try that could not reach n nodes is skipped.  The greedy
@@ -624,12 +613,9 @@ def _decide_with_engines(
     that already ran under bnb_budget and overflowed is not repeated:
     if the DP does not decide either, its OverBudgetError is raised.
     """
-    t = find_out_branching(d, root)
-    if t.leaf_count >= _packing_bound(d):
-        yes = t.leaf_count >= k
-        return SolveResult(
-            "dmlob", k, yes, min(t.leaf_count, k), yes, "bound", t if yes else None
-        )
+    leaves = find_out_branching(d, root).leaf_count
+    if leaves >= _packing_bound(d):
+        return SolveResult("dmlob", k, False, leaves, False, "bound")
     n = d.n
     tries = _TRY_WORK // n
     if bnb_budget is not None:

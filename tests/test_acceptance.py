@@ -210,9 +210,9 @@ def test_criterion_4_decompose_contract_on_branching_pool():
                 out.decomposition.check(und)
                 assert out.decomposition.width <= k**3, f"{instance_id(s)} k={k}"
                 decomposition_count += 1
-            # the pipeline checks its own intermediate set sizes (off-path
-            # vertices, reduced forward arcs) and raises InvariantError on
-            # any violation, so completing this loop certifies those too
+            # the pipeline checks its own intermediate set size (the
+            # off-path vertices U1) and raises InvariantError on any
+            # violation, so completing this loop certifies it too
     assert witness_count > 0 and decomposition_count > 0
     assert time.perf_counter() - t0 < 600
 

@@ -17,11 +17,11 @@ from maxleaf import (
     PathCover,
     PathDecomposition,
     decompose,
-    decompose_out_tree,
     find_out_branching,
     generate,
     has_out_branching,
     path_cover_from_out_branching,
+    strongly_connected_components,
     underlying_undirected,
     validate_out_tree,
 )
@@ -35,6 +35,7 @@ from maxleaf.decompose import (
     witness_from_forward_arcs,
     witness_from_off_path,
 )
+from maxleaf.digraph import source_strong_components
 from oracles import backward_component_check_reference
 
 
@@ -193,6 +194,44 @@ def test_forward_arc_guarantee_violation_detected():
     fas = [ForwardArc(0, 11, 0, 11), ForwardArc(1, 11, 1, 11), ForwardArc(2, 11, 2, 11)]
     t = witness_from_forward_arcs(p, fas, 5, 12)
     assert t is None  # under the bound, so no error even though nothing fits
+
+
+def test_breadth_first_cover_paths_have_no_forward_arcs():
+    # decompose has no forward-arc stage because of this lemma: along a
+    # path of a breadth-first tree depth grows by one per step, and an
+    # arc raises depth by at most one, so no arc jumps two positions ahead
+    specs = [
+        GenSpec(family="cycle", n=12),
+        GenSpec(family="double-cycle", n=12),
+        GenSpec(family="path", n=12),
+        GenSpec(family="out-star", n=8),
+        GenSpec(family="tournament-transitive", n=9),
+    ]
+    for seed in range(8):
+        specs += [
+            GenSpec(family="tournament-random", n=9, seed=seed),
+            GenSpec(family="multipartite-tournament", parts=(3, 2, 4), seed=seed),
+            GenSpec(family="min-in-degree-random", n=14, d=1 + seed % 2, seed=seed),
+            GenSpec(family="strong-random", n=20, extra=seed, seed=seed),
+        ]
+    hosts = [generate(s) for s in specs]
+    hosts += [random_digraph(seed, 12, 0.2) for seed in range(60)]
+    rng = random.Random(5)
+    checked = long_paths = 0
+    for g in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        d = Digraph(g.n, [(perm[a], perm[b]) for a, b in g.arcs])
+        comps = strongly_connected_components(d)
+        sources = source_strong_components(comps)
+        if len(sources) != 1:
+            continue
+        root = rng.choice(comps.components[sources[0]])
+        for path in path_cover_from_out_branching(find_out_branching(d, root)).paths:
+            assert forward_arcs_on_path(d, path) == [], (sorted(d.arcs), root, path)
+            long_paths += len(path) >= 3
+        checked += 1
+    assert checked >= 70 and long_paths >= 100
 
 
 # -------------------------------------------------------- backward arcs
@@ -396,8 +435,6 @@ def test_decompose_trace_prefix_order():
         "path-cover",
         "off-path",
         "trim",
-        "forward-arcs",
-        "trim",
         "backward-arcs",
         "decomposition",
     )
@@ -405,24 +442,3 @@ def test_decompose_trace_prefix_order():
         d = generate(GenSpec(family="strong-random", n=9, extra=seed % 9, seed=seed))
         out = decompose(d, 3)
         assert out.trace == stages[: len(out.trace)]
-
-
-# --------------------------------------------------- out-tree variant
-
-
-def test_decompose_out_tree_on_disjoint_star():
-    arcs = [(0, 1), (0, 2), (0, 3), (4, 5)]
-    d = Digraph(6, arcs)
-    out = decompose_out_tree(d, 0, 3)
-    assert out.is_witness
-    assert out.witness.vertices <= {0, 1, 2, 3}
-    assert out.witness.leaf_count == 3
-    assert validate_out_tree(d, out.witness).ok
-
-
-def test_decompose_out_tree_decomposition_covers_reachable_part():
-    d = Digraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-    out = decompose_out_tree(d, 0, 2)
-    assert not out.is_witness
-    seen = {v for bag in out.decomposition.bags for v in bag}
-    assert seen == {0, 1, 2}

@@ -8,6 +8,7 @@ from conftest import cycle, double_cycle, random_digraph
 from maxleaf import (
     Digraph,
     ParseError,
+    UndirectedGraph,
     has_out_branching,
     in_L_exact,
     in_L_sufficient,
@@ -189,3 +190,26 @@ def test_scc_invariant_under_relabeling(data):
     new = {frozenset(c) for c in strongly_connected_components(relabeled).components}
     assert orig == new
     assert has_out_branching(d) == has_out_branching(relabeled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_neighbor_tuples_are_sorted_and_match_the_arcs(data):
+    n = data.draw(st.integers(1, 8))
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda t: t[0] != t[1]
+            ),
+            max_size=30,
+        )
+    )
+    d = Digraph(n, pairs)
+    g = UndirectedGraph(n, pairs)
+    for v in range(n):
+        for vs in (d.out_neighbors(v), d.in_neighbors(v), g.neighbors(v)):
+            assert list(vs) == sorted(vs)
+    assert {(u, v) for u in range(n) for v in d.out_neighbors(u)} == d.arcs
+    assert {(u, v) for v in range(n) for u in d.in_neighbors(v)} == d.arcs
+    assert {(a, b) for a in range(n) for b in g.neighbors(a) if a < b} == g.edges
+    assert all(a in g.neighbors(b) for a, b in g.edges)
