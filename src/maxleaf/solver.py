@@ -16,20 +16,22 @@ mode, and solve_dmlot, answer the out-tree question by the region
 reduction at the end of this docstring (_best_region): one spanning
 search per region, each under the caller's budgets.
 
-solve_dmlob / solve_dmlot combine decompose() with these engines: a
-witness from the pipeline settles "yes" at once.  Every other case goes
-through one exact chain of four steps.  First, a root-level bound
-(_packing_bound): vertices whose in-neighbourhoods are pairwise
+solve_dmlob / solve_dmlot combine decompose() with these engines.
+Before the pipeline runs, the breadth-first out-branching from the root
+is checked against a root-level bound (_settle_by_tree).  A tree with k
+leaves is the witness decompose's first stage would return, and settles
+"yes".  Otherwise, vertices whose in-neighbourhoods are pairwise
 disjoint each force a distinct internal parent, so a greedy packing P
-of them caps every out-branching at n - |P| + 1 leaves.  When the
-breadth-first out-branching meets that cap it is optimal, and it
-decides "no" in O(n + m) time (decompose's first stage already returns
-that tree when it has k leaves); on a cycle both are 1.  Second comes a
-branch-and-bound try under a small work budget, which settles most
-small inputs in well under a millisecond.  A search node costs about n
-steps, so the try gets _TRY_WORK // n nodes.  A spanning search needs
-at least n nodes to reach its first complete tree, so when
-n^2 > _TRY_WORK the try cannot return and is skipped.  Third, the DP
+of them caps every out-branching at n - |P| + 1 leaves (_packing_bound).
+When the tree meets that cap it is optimal, and it decides "no" in
+O(n + m) time, without building a decomposition; on a cycle both are 1.
+Only then does decompose() run: a witness from the pipeline settles
+"yes".  Every other case goes through one exact chain of three steps.
+First comes a branch-and-bound try under a small work budget, which
+settles most small inputs in well under a millisecond.  A search node
+costs about n steps, so the try gets _TRY_WORK // n nodes.  A spanning
+search needs at least n nodes to reach its first complete tree, so when
+n^2 > _TRY_WORK the try cannot return and is skipped.  Second, the DP
 runs on the narrower of the pipeline's decomposition and a greedy
 min-frontier one; the pipeline's is the paper's width-k^3 certificate,
 which keeps the off-path vertices U1 in every bag, and the greedy one
@@ -567,8 +569,9 @@ def _dp_spanning(
     return SolveResult("dmlob", k, True, k, True, "dp", witness)
 
 
-def _packing_bound(d: Digraph) -> int:
-    """Upper bound n - |P| + 1 on the leaves of any out-branching of d.
+def _packing_bound(d: Digraph, root: int) -> int:
+    """Upper bound on the leaves of any out-branching of d: n - |P| + 1,
+    or n - |P| when the vertex root has in-degree 0.
 
     P is built greedily: the vertices in order of in-degree, ties by
     label, each taken when its in-neighbourhood is non-empty and misses
@@ -578,6 +581,12 @@ def _packing_bound(d: Digraph) -> int:
     are distinct, and each has a child, so each is internal.  At least
     |P| - 1 vertices are therefore internal, and at most n - |P| + 1
     are leaves.
+
+    When root has in-degree 0 no vertex can be its parent, so it is the
+    root of every out-branching of d; and it never enters P, whose
+    members have non-empty in-neighbourhoods.  Then every member of P
+    takes a distinct internal parent, and at most n - |P| vertices are
+    leaves.
     """
     taken: set[int] = set()
     packed = 0
@@ -586,13 +595,36 @@ def _packing_bound(d: Digraph) -> int:
         if ins and taken.isdisjoint(ins):
             taken.update(ins)
             packed += 1
+    if d.in_degree(root) == 0:
+        return d.n - packed
     return d.n - packed + 1
+
+
+def _settle_by_tree(d: Digraph, k: int, root: int) -> SolveResult | None:
+    """Decide dmlob on d from the breadth-first out-branching from root,
+    a vertex that reaches all of d, or return None.
+
+    The tree is the one decompose(d, k, root=root) builds in its first
+    stage, so a tree with k leaves is the witness decompose would
+    return, checked the same way; it answers "yes" with method
+    "decompose-witness".  A tree that meets _packing_bound(d, root) is
+    optimal, and answers "no" with method "bound" in O(n + m) time; on
+    a cycle both are 1.
+    """
+    t = find_out_branching(d, root)
+    if t.leaf_count >= k:
+        report = validate_out_tree(d, t)
+        if not report.ok:
+            raise InvariantError("bad witness: " + "; ".join(report.errors))
+        return SolveResult("dmlob", k, True, k, True, "decompose-witness", t)
+    if t.leaf_count >= _packing_bound(d, root):
+        return SolveResult("dmlob", k, False, t.leaf_count, False, "bound")
+    return None
 
 
 def _decide_with_engines(
     d: Digraph,
     k: int,
-    root: int,
     pd: PathDecomposition | None,
     width_budget: int,
     dp_budget: int,
@@ -600,12 +632,8 @@ def _decide_with_engines(
 ) -> SolveResult:
     """The exact chain of the module docstring, deciding dmlob on d.
 
-    root is a vertex that reaches all of d.  The breadth-first
-    out-branching from root is optimal when its leaf count meets
-    _packing_bound(d), and then decides "no" at once, with method
-    "bound": both callers run decompose(d, k, root=root) first, which
-    returns this tree when it has k leaves (SolveResult rejects a "no"
-    whose value reaches k).
+    Both callers run _settle_by_tree and then decompose first, so the
+    chain starts at the branch-and-bound try.
     pd is the pipeline's decomposition of d, or None when there is none.
     The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
     try that could not reach n nodes is skipped.  The greedy
@@ -613,9 +641,6 @@ def _decide_with_engines(
     that already ran under bnb_budget and overflowed is not repeated:
     if the DP does not decide either, its OverBudgetError is raised.
     """
-    leaves = find_out_branching(d, root).leaf_count
-    if leaves >= _packing_bound(d):
-        return SolveResult("dmlob", k, False, leaves, False, "bound")
     n = d.n
     tries = _TRY_WORK // n
     if bnb_budget is not None:
@@ -652,14 +677,19 @@ def solve_dmlob(
 ) -> SolveResult:
     """Decide whether some spanning out-tree of d has at least k leaves.
 
-    Exact for every digraph.  The pipeline starts from the smallest
-    vertex of the source strong component, which is the root
-    find_out_branching picks itself, so the components are computed
-    once.  A pipeline witness rooted in the source strong component
-    grows into a spanning one with no fewer leaves (see the module
-    docstring), so it settles "yes".  A witness rooted elsewhere goes
-    through the exact chain with no pipeline decomposition, and a
-    decomposition goes through it as the DP's first candidate.
+    Exact for every digraph.  The root is the smallest vertex of the
+    source strong component, which is the root find_out_branching picks
+    itself, so the components are computed once.  The breadth-first
+    out-branching from it, checked against the packing bound, comes
+    first (_settle_by_tree); when it settles nothing, the pipeline runs
+    from the same root.  The bound step loses no "yes": when it holds,
+    the optimum is below k, so decompose could only have returned a
+    witness rooted outside the source strong component.  A pipeline
+    witness rooted in the source strong component grows into a spanning
+    one with no fewer leaves (see the module docstring), so it settles
+    "yes".  A witness rooted elsewhere goes through the exact chain with
+    no pipeline decomposition, and a decomposition goes through it as
+    the DP's first candidate.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -673,6 +703,9 @@ def solve_dmlob(
     if k == 1:
         t = find_out_branching(d, root)
         return SolveResult("dmlob", k, True, 1, True, "trivial", t)
+    settled = _settle_by_tree(d, k, root)
+    if settled is not None:
+        return settled
     out = decompose(d, k, root=root)
     if out.is_witness:
         if comps.component_of[out.witness.root] == sources[0]:
@@ -681,7 +714,7 @@ def solve_dmlob(
         pd = None
     else:
         pd = out.decomposition
-    return _decide_with_engines(d, k, root, pd, width_budget, dp_budget, bnb_budget)
+    return _decide_with_engines(d, k, pd, width_budget, dp_budget, bnb_budget)
 
 
 def solve_dmlot(
@@ -694,10 +727,12 @@ def solve_dmlot(
     """Decide whether d has any out-tree with at least k leaves.
 
     The answer is the best spanning answer over the regions d[R_C] (see
-    _best_region).  The pipeline runs on each region from its root.  A
-    pipeline witness in a region is already an out-tree of d, so it
-    settles "yes" unconditionally; otherwise the exact chain decides the
-    region in spanning mode, under the caller's budgets.
+    _best_region).  Each region is first checked by its breadth-first
+    out-branching and the packing bound (_settle_by_tree), then the
+    pipeline runs on it from its root.  A pipeline witness in a region
+    is already an out-tree of d, so it settles "yes" unconditionally;
+    otherwise the exact chain decides the region in spanning mode, under
+    the caller's budgets.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -707,11 +742,14 @@ def solve_dmlot(
         return SolveResult("dmlot", k, True, 1, True, "trivial", OutTree(0, {}, d.n))
 
     def decide(sub: Digraph, order: tuple[int, ...], root: int) -> SolveResult:
+        settled = _settle_by_tree(sub, k, root)
+        if settled is not None:
+            return settled
         out = decompose(sub, k, root=root)
         if out.is_witness:
             return SolveResult("dmlot", k, True, k, True, "decompose-witness", out.witness)
         return _decide_with_engines(
-            sub, k, root, out.decomposition, width_budget, dp_budget, bnb_budget
+            sub, k, out.decomposition, width_budget, dp_budget, bnb_budget
         )
 
     return _best_region(d, k, decide)

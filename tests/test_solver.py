@@ -516,11 +516,23 @@ def _recording(monkeypatch, name):
     return calls
 
 
+def _nearly_transitive(n):
+    """The transitive tournament on n vertices with the arcs (0, 4) and
+    (1, 3) reversed.  Its source strong component is {0, ..., 4}, so its
+    root 0 has an in-neighbour, and its packing bound is one above its
+    optimum of n - 2.  (On the transitive tournament itself vertex 0 has
+    in-degree 0, and the bound settles every k.)"""
+    d = generate(GenSpec("tournament-transitive", n=n))
+    flipped = {(0, 4), (1, 3)}
+    return Digraph(n, [(b, a) if (a, b) in flipped else (a, b) for a, b in d.arcs])
+
+
 def test_chain_settles_transitive_tournament_by_search():
-    d = generate(GenSpec("tournament-transitive", n=9))
+    d = _nearly_transitive(9)
+    assert brute_force_out_branching(d)[0] == brute_force_out_tree(d)[0] == 7
     for solve in (solve_dmlob, solve_dmlot):
-        r = solve(d, 9)
-        assert (r.answer, r.value) == (False, 8)
+        r = solve(d, 8)
+        assert (r.answer, r.value) == (False, 7)
         assert r.method == "branch-and-bound"
 
 
@@ -547,14 +559,17 @@ def test_chain_runs_dp_on_the_narrower_greedy_decomposition(monkeypatch):
 
 
 def test_chain_keeps_the_pipeline_decomposition_on_a_tie(monkeypatch):
-    # a path's packing bound is 2, one above its optimum
-    d = directed_path(150)
-    out = decompose(d, 2)
+    # a directed path whose first arc is doubled: its packing bound is 2,
+    # the optimum (rooted at 1), but the breadth-first tree from 0 is the
+    # path itself, with one leaf
+    n = 150
+    d = Digraph(n, [(1, 0)] + [(i, i + 1) for i in range(n - 1)])
+    out = decompose(d, 3)
     assert not out.is_witness and out.decomposition.width == 1
     calls = _recording(monkeypatch, "dp_pathwidth")
-    r = solve_dmlob(d, 2)
+    r = solve_dmlob(d, 3)
     assert r.method != "bound"
-    assert (r.answer, r.value, r.method) == (False, 1, "dp")
+    assert (r.answer, r.value, r.method) == (False, 2, "dp")
     ((args, _),) = calls
     assert args[1] == out.decomposition
 
@@ -609,10 +624,17 @@ def test_chain_decides_a_witness_rooted_outside_the_source_component(monkeypatch
     assert calls == []
 
 
+def _source_root(d):
+    """The smallest vertex of the first source strong component of d."""
+    comps = strongly_connected_components(d)
+    return comps.components[source_strong_components(comps)[0]][0]
+
+
 def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact():
     # criterion 1 already checks every answer on the 4-vertex digraphs
     for d in all_digraphs(4):
-        assert maxleaf.solver._packing_bound(d) >= brute_force_out_branching(d)[0], d.arcs
+        bound = maxleaf.solver._packing_bound(d, _source_root(d))
+        assert bound >= brute_force_out_branching(d)[0], d.arcs
     rng = random.Random(15)
     settled = 0
     for _ in range(200):
@@ -620,7 +642,7 @@ def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact():
         p = rng.uniform(0.1, 0.5)  # sparse enough that many are not strong
         d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
         span, _ = brute_force_out_branching(d)
-        assert maxleaf.solver._packing_bound(d) >= span, d.arcs
+        assert maxleaf.solver._packing_bound(d, _source_root(d)) >= span, d.arcs
         tree, _ = brute_force_out_tree(d)
         for k in range(2, n + 1):
             for solve, opt in ((solve_dmlob, span), (solve_dmlot, tree)):
@@ -637,10 +659,70 @@ def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact():
 def test_bound_settles_a_cycle_without_either_engine(monkeypatch):
     bnb = _recording(monkeypatch, "branch_and_bound")
     dp = _recording(monkeypatch, "dp_pathwidth")
+    pipeline = _recording(monkeypatch, "decompose")
     for solve in (solve_dmlob, solve_dmlot):
         r = solve(cycle(150), 2)
         assert (r.answer, r.value, r.method) == (False, 1, "bound")
-    assert bnb == [] and dp == []
+    r = solve_dmlob(cycle(10**5), 2)
+    assert (r.answer, r.value, r.method) == (False, 1, "bound")
+    assert bnb == [] and dp == [] and pipeline == []
+
+
+def test_root_with_no_in_neighbour_tightens_the_bound(monkeypatch):
+    # the root of a directed path is the only possible root, so every
+    # other vertex needs its own internal parent: the bound is 1
+    pipeline = _recording(monkeypatch, "decompose")
+    assert maxleaf.solver._packing_bound(directed_path(6), 0) == 1
+    assert maxleaf.solver._packing_bound(cycle(6), 0) == 1
+    r = solve_dmlob(directed_path(20000), 2)
+    assert (r.answer, r.value, r.method) == (False, 1, "bound")
+    r = solve_dmlot(directed_path(300), 2)
+    assert (r.answer, r.value, r.method) == (False, 1, "bound")
+    assert pipeline == []
+
+
+def test_breadth_first_tree_with_k_leaves_is_the_pipeline_witness(monkeypatch):
+    # the 6-cycle with chord (0, 3) of the README: the tree from 0 has
+    # the leaves 2 and 5
+    d = Digraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    expected = decompose(d, 2, root=0).witness
+    pipeline = _recording(monkeypatch, "decompose")
+    for solve in (solve_dmlob, solve_dmlot):
+        r = solve(d, 2)
+        assert (r.answer, r.method) == (True, "decompose-witness")
+        assert r.witness == expected
+    assert pipeline == []
+
+
+def _settled_pool():
+    """Every 4-vertex digraph, then seeded random digraphs with n <= 9."""
+    yield from all_digraphs(4)
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        p = rng.uniform(0.1, 0.5)
+        yield Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
+def test_answers_settled_before_decompose_match_the_oracle(monkeypatch):
+    pipeline = _recording(monkeypatch, "decompose")
+    settled = {"bound": 0, "decompose-witness": 0}
+    for d in _settled_pool():
+        span, _ = brute_force_out_branching(d)
+        tree, _ = brute_force_out_tree(d)
+        for k in range(2, d.n + 1):
+            for solve, opt, spanning in ((solve_dmlob, span, True), (solve_dmlot, tree, False)):
+                pipeline.clear()
+                r = solve(d, k)
+                if pipeline or r.method not in ("bound", "decompose-witness"):
+                    continue
+                settled[r.method] += 1
+                assert (r.answer, r.value) == (opt >= k, min(opt, k)), (d.arcs, k)
+                if r.answer:
+                    rep = validate_out_tree(d, r.witness)
+                    assert rep.ok and rep.leaf_count >= k, (d.arcs, k)
+                    assert rep.spanning or not spanning, (d.arcs, k)
+    assert min(settled.values()) > 0
 
 
 # ----------------------------------------- dmlot from the spanning problem
@@ -714,10 +796,13 @@ def test_dmlot_skips_regions_that_cannot_beat_the_best(monkeypatch):
         return decompose(d, k, root=root)
 
     monkeypatch.setattr(maxleaf.solver, "decompose", counting)
-    # the first region spans all 12 vertices and gives 11 leaves; every
-    # other region has at most 11 vertices, so at most 10 leaves
-    r = solve_dmlot(generate(GenSpec("tournament-transitive", n=12)), 12)
-    assert r.answer is False and r.value == 11
+    # the first region spans all 12 vertices and gives 10 leaves; every
+    # other region has at most 7 vertices, so at most 6 leaves
+    d = _nearly_transitive(12)
+    regions = sorted(len(reachable_set(d, c[0])) for c in strongly_connected_components(d).components)
+    assert regions[-2:] == [7, 12]
+    r = solve_dmlot(d, 11)
+    assert r.answer is False and r.value == 10
     assert calls == [12]
 
 
