@@ -18,16 +18,16 @@ search per region, each under the caller's budgets.
 
 solve_dmlob / solve_dmlot combine decompose() with these engines.
 Before the pipeline runs, the breadth-first out-branching from the root
-is checked against a root-level bound (_settle_by_tree).  A tree with k
-leaves is the witness decompose's first stage would return, and settles
-"yes".  Otherwise, vertices whose in-neighbourhoods are pairwise
-disjoint each force a distinct internal parent, so a greedy packing P
-of them caps every out-branching at n - |P| + 1 leaves (_packing_bound).
-When the tree meets that cap it is optimal, and it decides "no" in
-O(n + m) time, without building a decomposition; on a cycle both are 1.
-Only then does decompose() run: a witness from the pipeline settles
-"yes".  Every other case goes through one exact chain of three steps.
-First comes a branch-and-bound try under a small work budget, which
+is checked against a root-level bound (_settle_by_bound): vertices
+whose in-neighbourhoods are pairwise disjoint each force a distinct
+internal parent, so a greedy packing P of them caps every out-branching
+at n - |P| + 1 leaves (_packing_bound).  When a tree with fewer than k
+leaves meets that cap it is optimal, and it decides "no" in O(n + m)
+time, without building a decomposition; on a cycle both are 1.  Only
+then does decompose() run: a witness from the pipeline settles "yes"
+(its first stage returns the breadth-first tree when it has k leaves).
+Every other case goes through one exact chain of three steps.  First
+comes a branch-and-bound try under a small work budget, which
 settles most small inputs in well under a millisecond.  A search node
 costs about n steps, so the try gets _TRY_WORK // n nodes.  A spanning
 search needs at least n nodes to reach its first complete tree, so when
@@ -600,25 +600,18 @@ def _packing_bound(d: Digraph, root: int) -> int:
     return d.n - packed + 1
 
 
-def _settle_by_tree(d: Digraph, k: int, root: int) -> SolveResult | None:
-    """Decide dmlob on d from the breadth-first out-branching from root,
-    a vertex that reaches all of d, or return None.
+def _settle_by_bound(d: Digraph, k: int, root: int) -> SolveResult | None:
+    """Answer "no" on d, with method "bound", when the breadth-first
+    out-branching from root, a vertex that reaches all of d, has fewer
+    than k leaves and meets _packing_bound(d, root); else return None.
 
-    The tree is the one decompose(d, k, root=root) builds in its first
-    stage, so a tree with k leaves is the witness decompose would
-    return, checked the same way; it answers "yes" with method
-    "decompose-witness".  A tree that meets _packing_bound(d, root) is
-    optimal, and answers "no" with method "bound" in O(n + m) time; on
-    a cycle both are 1.
+    Such a tree is optimal, so its leaf count is the answer's value, in
+    O(n + m) time; on a cycle both are 1.  A tree with k leaves is left
+    to decompose(d, k, root=root), whose first stage returns it.
     """
-    t = find_out_branching(d, root)
-    if t.leaf_count >= k:
-        report = validate_out_tree(d, t)
-        if not report.ok:
-            raise InvariantError("bad witness: " + "; ".join(report.errors))
-        return SolveResult("dmlob", k, True, k, True, "decompose-witness", t)
-    if t.leaf_count >= _packing_bound(d, root):
-        return SolveResult("dmlob", k, False, t.leaf_count, False, "bound")
+    leaves = find_out_branching(d, root).leaf_count
+    if k > leaves >= _packing_bound(d, root):
+        return SolveResult("dmlob", k, False, leaves, False, "bound")
     return None
 
 
@@ -632,7 +625,7 @@ def _decide_with_engines(
 ) -> SolveResult:
     """The exact chain of the module docstring, deciding dmlob on d.
 
-    Both callers run _settle_by_tree and then decompose first, so the
+    Both callers run _settle_by_bound and then decompose first, so the
     chain starts at the branch-and-bound try.
     pd is the pipeline's decomposition of d, or None when there is none.
     The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
@@ -681,7 +674,7 @@ def solve_dmlob(
     source strong component, which is the root find_out_branching picks
     itself, so the components are computed once.  The breadth-first
     out-branching from it, checked against the packing bound, comes
-    first (_settle_by_tree); when it settles nothing, the pipeline runs
+    first (_settle_by_bound); when it settles nothing, the pipeline runs
     from the same root.  The bound step loses no "yes": when it holds,
     the optimum is below k, so decompose could only have returned a
     witness rooted outside the source strong component.  A pipeline
@@ -703,7 +696,7 @@ def solve_dmlob(
     if k == 1:
         t = find_out_branching(d, root)
         return SolveResult("dmlob", k, True, 1, True, "trivial", t)
-    settled = _settle_by_tree(d, k, root)
+    settled = _settle_by_bound(d, k, root)
     if settled is not None:
         return settled
     out = decompose(d, k, root=root)
@@ -728,7 +721,7 @@ def solve_dmlot(
 
     The answer is the best spanning answer over the regions d[R_C] (see
     _best_region).  Each region is first checked by its breadth-first
-    out-branching and the packing bound (_settle_by_tree), then the
+    out-branching and the packing bound (_settle_by_bound), then the
     pipeline runs on it from its root.  A pipeline witness in a region
     is already an out-tree of d, so it settles "yes" unconditionally;
     otherwise the exact chain decides the region in spanning mode, under
@@ -742,7 +735,7 @@ def solve_dmlot(
         return SolveResult("dmlot", k, True, 1, True, "trivial", OutTree(0, {}, d.n))
 
     def decide(sub: Digraph, order: tuple[int, ...], root: int) -> SolveResult:
-        settled = _settle_by_tree(sub, k, root)
+        settled = _settle_by_bound(sub, k, root)
         if settled is not None:
             return settled
         out = decompose(sub, k, root=root)
