@@ -17,26 +17,27 @@ reduction at the end of this docstring (_best_region): one spanning
 search per region, each under the caller's budgets.
 
 solve_dmlob / solve_dmlot combine decompose() with these engines.
-Before the pipeline runs, the breadth-first out-branching from the root
-is checked against a root-level bound (_settle_by_bound): vertices
-whose in-neighbourhoods are pairwise disjoint each force a distinct
-internal parent, so a greedy packing P of them caps every out-branching
-at n - |P| + 1 leaves (_packing_bound).  When a tree with fewer than k
-leaves meets that cap it is optimal, and it decides "no" in O(n + m)
-time, without building a decomposition; on a cycle both are 1.  Only
-then does decompose() run: a witness from the pipeline settles "yes"
-(its first stage returns the breadth-first tree when it has k leaves).
-Every other case goes through one exact chain of three steps.  First
-comes a branch-and-bound try under a small work budget, which
-settles most small inputs in well under a millisecond.  A search node
-costs about n steps, so the try gets _TRY_WORK // n nodes.  A spanning
-search needs at least n nodes to reach its first complete tree, so when
-n^2 > _TRY_WORK the try cannot return and is skipped.  Second, the DP
-runs on the narrower of the pipeline's decomposition and a greedy
-min-frontier one; the pipeline's is the paper's width-k^3 certificate,
-which keeps the off-path vertices U1 in every bag, and the greedy one
-is often far narrower.  Last, branch and bound runs under the caller's
-budget, unless the try already ran under that budget and overflowed.
+Before the pipeline runs, a root-level bound is checked
+(_settle_by_bound): vertices whose in-neighbourhoods are pairwise
+disjoint each force a distinct internal parent, so a greedy packing P
+of them caps every out-branching at n - |P| + 1 leaves (_packing_bound).
+When that cap is below k, the breadth-first out-branching from the root
+is built, and when it meets the cap it is optimal: it decides "no" in
+O(n + m) time, without building a decomposition; on a cycle both are 1.
+Only then does decompose() run, and only for its witness: a witness
+from the pipeline settles "yes" (its first stage returns the
+breadth-first tree when it has k leaves).  Every other case goes
+through one exact chain of three steps.  First comes a branch-and-bound
+try under a small work budget, which settles most small inputs in well
+under a millisecond.  A search node costs about n steps, so the try
+gets _TRY_WORK // n nodes.  A spanning search needs at least n nodes to
+reach its first complete tree, so when n^2 > _TRY_WORK the try cannot
+return and is skipped.  Second, the DP runs on a greedy min-frontier
+decomposition.  The pipeline's decomposition, the paper's width-k^3
+certificate, is not used here: it keeps the off-path vertices U1 in
+every bag, and the greedy one is almost always narrower.  Last, branch
+and bound runs under the caller's budget, unless the try already ran
+under that budget and overflowed.
 
 Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
 the subdigraph induced by the vertices u reaches, and growing it by
@@ -154,7 +155,15 @@ def _best_region(
     least k leaves; a "yes" may carry any out-tree of sub with k leaves.
 
     A region with r vertices holds at most max(1, r - 1) leaves, so a
-    region that cannot beat the best value so far is skipped.  The first
+    region that cannot beat the best value so far is skipped.  So is a
+    component that is one vertex v with a single out-neighbour w, before
+    its region is built.  Nothing in R_w reaches v, or v would share w's
+    strong component, so v is the root of every out-branching of d[R_v]
+    and its only child is w.  Cutting v off leaves an out-branching of
+    d[R_w] with as many leaves, so w's region is at least as good.  A
+    chain of such skips follows the acyclic condensation and ends at a
+    component that is not skipped this way, so the best value is
+    unchanged.  The first
     "yes" wins, with its witness relabelled into d.  A "no" names the
     engine that found the returned value; every region holds a one-leaf
     tree, so that value is at least 1.
@@ -163,6 +172,8 @@ def _best_region(
     best_method = "trivial"
     for comp in strongly_connected_components(d).components:
         v = comp[0]
+        if len(comp) == 1 and d.out_degree(v) == 1:
+            continue  # no better than the region of v's out-neighbour
         region = reachable_set(d, v)
         if max(1, len(region) - 1) <= best:
             continue  # too small to beat the best region so far
@@ -394,14 +405,18 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
     module docstring), each on pd restricted to the region: a path
     decomposition of the region's underlying graph, no wider than pd.
     cfg.table_budget applies to each run.
+
+    The width is checked before pd is checked against d, so a pd that
+    is too wide raises OverBudgetError without the O(n + m) check, even
+    when it is not a path decomposition of d either.
     """
-    pd.check(underlying_undirected(d))
     if pd.width > cfg.width_budget:
         raise OverBudgetError(
             f"decomposition width {pd.width} exceeds budget {cfg.width_budget}"
         )
     if pd.width >= _MAX_SLOTS:
         raise OverBudgetError(f"dp states hold at most {_MAX_SLOTS} bag slots")
+    pd.check(underlying_undirected(d))
     k = cfg.leaf_cap
     if cfg.mode == "subtree":
         return _best_region(
@@ -602,23 +617,27 @@ def _packing_bound(d: Digraph, root: int) -> int:
 
 def _settle_by_bound(d: Digraph, k: int, root: int) -> SolveResult | None:
     """Answer "no" on d, with method "bound", when the breadth-first
-    out-branching from root, a vertex that reaches all of d, has fewer
-    than k leaves and meets _packing_bound(d, root); else return None.
+    out-branching from root, a vertex that reaches all of d, meets
+    _packing_bound(d, root) and that bound is below k; else return None.
 
     Such a tree is optimal, so its leaf count is the answer's value, in
-    O(n + m) time; on a cycle both are 1.  A tree with k leaves is left
-    to decompose(d, k, root=root), whose first stage returns it.
+    O(n + m) time; on a cycle both are 1.  The bound is computed first
+    and the tree is built only when the bound is below k: no tree has
+    more leaves than the bound, so a bound of k or more settles nothing
+    here.  A tree with k leaves is left to decompose(d, k, root=root),
+    whose first stage returns it.
     """
-    leaves = find_out_branching(d, root).leaf_count
-    if k > leaves >= _packing_bound(d, root):
-        return SolveResult("dmlob", k, False, leaves, False, "bound")
+    bound = _packing_bound(d, root)
+    if bound < k:
+        leaves = find_out_branching(d, root).leaf_count
+        if leaves >= bound:
+            return SolveResult("dmlob", k, False, leaves, False, "bound")
     return None
 
 
 def _decide_with_engines(
     d: Digraph,
     k: int,
-    pd: PathDecomposition | None,
     width_budget: int,
     dp_budget: int,
     bnb_budget: int | None,
@@ -626,13 +645,14 @@ def _decide_with_engines(
     """The exact chain of the module docstring, deciding dmlob on d.
 
     Both callers run _settle_by_bound and then decompose first, so the
-    chain starts at the branch-and-bound try.
-    pd is the pipeline's decomposition of d, or None when there is none.
-    The try's node budget is _TRY_WORK // n, capped by bnb_budget, and a
-    try that could not reach n nodes is skipped.  The greedy
-    decomposition replaces pd only when it is strictly narrower.  A try
-    that already ran under bnb_budget and overflowed is not repeated:
-    if the DP does not decide either, its OverBudgetError is raised.
+    chain starts at the branch-and-bound try.  The try's node budget is
+    _TRY_WORK // n, capped by bnb_budget, and a try that could not reach
+    n nodes is skipped.  The DP runs on the greedy min-frontier
+    decomposition of d; one wider than width_budget, or a table over
+    dp_budget, raises OverBudgetError inside dp_pathwidth and passes on
+    to branch and bound.  A try that already ran under bnb_budget and
+    overflowed is not repeated: if the DP does not decide either, its
+    OverBudgetError is raised.
     """
     n = d.n
     tries = _TRY_WORK // n
@@ -646,16 +666,11 @@ def _decide_with_engines(
             if tries == bnb_budget:
                 overflow = exc
     g = underlying_undirected(d)
-    greedy = ordering_to_path_decomposition(g, min_frontier_ordering(g))
-    if pd is None or greedy.width < pd.width:
-        pd = greedy
-    if pd.width <= width_budget:
-        try:
-            return dp_pathwidth(
-                d, pd, DpConfig("spanning", k, width_budget, dp_budget)
-            )
-        except OverBudgetError:
-            pass
+    pd = ordering_to_path_decomposition(g, min_frontier_ordering(g))
+    try:
+        return dp_pathwidth(d, pd, DpConfig("spanning", k, width_budget, dp_budget))
+    except OverBudgetError:
+        pass
     if overflow is not None:
         raise overflow
     return branch_and_bound(d, k, "spanning", node_budget=bnb_budget)
@@ -672,17 +687,16 @@ def solve_dmlob(
 
     Exact for every digraph.  The root is the smallest vertex of the
     source strong component, which is the root find_out_branching picks
-    itself, so the components are computed once.  The breadth-first
-    out-branching from it, checked against the packing bound, comes
-    first (_settle_by_bound); when it settles nothing, the pipeline runs
+    itself, so the components are computed once.  The packing bound and
+    the breadth-first out-branching from it come first
+    (_settle_by_bound); when they settle nothing, the pipeline runs
     from the same root.  The bound step loses no "yes": when it holds,
     the optimum is below k, so decompose could only have returned a
     witness rooted outside the source strong component.  A pipeline
     witness rooted in the source strong component grows into a spanning
     one with no fewer leaves (see the module docstring), so it settles
-    "yes".  A witness rooted elsewhere goes through the exact chain with
-    no pipeline decomposition, and a decomposition goes through it as
-    the DP's first candidate.
+    "yes".  Every other outcome, a witness rooted elsewhere or a
+    decomposition, goes to the exact chain.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -700,14 +714,10 @@ def solve_dmlob(
     if settled is not None:
         return settled
     out = decompose(d, k, root=root)
-    if out.is_witness:
-        if comps.component_of[out.witness.root] == sources[0]:
-            witness = grow_out_tree(d, out.witness)
-            return SolveResult("dmlob", k, True, k, True, "decompose-witness", witness)
-        pd = None
-    else:
-        pd = out.decomposition
-    return _decide_with_engines(d, k, pd, width_budget, dp_budget, bnb_budget)
+    if out.is_witness and comps.component_of[out.witness.root] == sources[0]:
+        witness = grow_out_tree(d, out.witness)
+        return SolveResult("dmlob", k, True, k, True, "decompose-witness", witness)
+    return _decide_with_engines(d, k, width_budget, dp_budget, bnb_budget)
 
 
 def solve_dmlot(
@@ -720,12 +730,12 @@ def solve_dmlot(
     """Decide whether d has any out-tree with at least k leaves.
 
     The answer is the best spanning answer over the regions d[R_C] (see
-    _best_region).  Each region is first checked by its breadth-first
-    out-branching and the packing bound (_settle_by_bound), then the
+    _best_region).  Each region is first checked by the packing bound
+    and its breadth-first out-branching (_settle_by_bound), then the
     pipeline runs on it from its root.  A pipeline witness in a region
     is already an out-tree of d, so it settles "yes" unconditionally;
     otherwise the exact chain decides the region in spanning mode, under
-    the caller's budgets.
+    the caller's budgets.  The pipeline's decomposition is not used.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
@@ -741,8 +751,6 @@ def solve_dmlot(
         out = decompose(sub, k, root=root)
         if out.is_witness:
             return SolveResult("dmlot", k, True, k, True, "decompose-witness", out.witness)
-        return _decide_with_engines(
-            sub, k, out.decomposition, width_budget, dp_budget, bnb_budget
-        )
+        return _decide_with_engines(sub, k, width_budget, dp_budget, bnb_budget)
 
     return _best_region(d, k, decide)

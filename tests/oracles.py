@@ -674,15 +674,21 @@ def branch_and_bound_reference(
 # Region-composed references for the subtree modes.  Both engines answer
 # mode "subtree" with one spanning search per region d[R_C]: one per
 # strong component C, in the order strongly_connected_components lists
-# them, from C's smallest vertex, skipping a region too small to beat
-# the best value so far.  The loop is written out again here, on the
-# spanning references above, so the engines are pinned to it without
-# sharing its code.  Each returns (result, largest per-region count).
+# them, from C's smallest vertex, skipping a one-vertex component with a
+# single out-neighbour and a region too small to beat the best value so
+# far.  The loop is written out again here, on the spanning references
+# above, so the engines are pinned to it without sharing its code.  Each
+# returns (result, largest per-region count).
 
 
 def _regions_reference(d: Digraph):
-    """(d[R_C], order) per strong component C; vertex i of d[R_C] is order[i]."""
+    """(d[R_C], order) per strong component C; vertex i of d[R_C] is order[i].
+
+    A component that is one vertex with a single out-neighbour is left
+    out: its region is no better than that neighbour's."""
     for comp in strongly_connected_components(d).components:
+        if len(comp) == 1 and len(d.out_neighbors(comp[0])) == 1:
+            continue
         seen = {comp[0]}
         todo = [comp[0]]
         while todo:

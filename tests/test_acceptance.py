@@ -9,12 +9,12 @@ against each other.
 Solver calls here use width_budget=6 and dp_budget=200_000 instead of
 the library defaults.  solve_dmlob and solve_dmlot first try branch
 and bound under a small node budget, which settles nearly every
-instance here; the dynamic program is attempted only when the narrower
-of the pipeline's and a greedy decomposition is genuinely narrow, and
+instance here; the dynamic program then runs on a greedy min-frontier
+decomposition, and decides only when that is genuinely narrow, and
 branch and bound decides the rest.  All engines are exact, so the
-budgets only select which engine decides; the last gate compares the
-DP and branch and bound wherever the DP finished on the pipeline's
-decomposition.
+budgets only select which engine decides.  The drivers never run the DP
+on the pipeline's decomposition; the last gate does, and compares the
+DP and branch and bound wherever the DP finished on it.
 """
 
 import functools

@@ -545,7 +545,7 @@ def test_chain_decides_large_sparse_instance_by_dp():
     assert r.method == "dp"
 
 
-def test_chain_runs_dp_on_the_narrower_greedy_decomposition(monkeypatch):
+def test_chain_runs_dp_on_the_greedy_decomposition(monkeypatch):
     d = double_cycle(12)
     out = decompose(d, 3)
     assert not out.is_witness and out.decomposition.width == 5
@@ -558,20 +558,19 @@ def test_chain_runs_dp_on_the_narrower_greedy_decomposition(monkeypatch):
     args[1].check(underlying_undirected(d))
 
 
-def test_chain_keeps_the_pipeline_decomposition_on_a_tie(monkeypatch):
-    # a directed path whose first arc is doubled: its packing bound is 2,
-    # the optimum (rooted at 1), but the breadth-first tree from 0 is the
-    # path itself, with one leaf
-    n = 150
-    d = Digraph(n, [(1, 0)] + [(i, i + 1) for i in range(n - 1)])
-    out = decompose(d, 3)
-    assert not out.is_witness and out.decomposition.width == 1
+def test_chain_runs_dp_on_the_greedy_decomposition_when_the_pipeline_is_narrower(monkeypatch):
+    # the pipeline's decomposition has width 3 and the greedy one width 4;
+    # the DP still gets the greedy one, and decides within the budget
+    d = generate(GenSpec("strong-random", n=15, extra=3, seed=65))
+    out = decompose(d, 4)
+    assert not out.is_witness and out.decomposition.width == 3
     calls = _recording(monkeypatch, "dp_pathwidth")
-    r = solve_dmlob(d, 3)
-    assert r.method != "bound"
-    assert (r.answer, r.value, r.method) == (False, 2, "dp")
+    # a search budget below n skips the try
+    r = solve_dmlob(d, 4, bnb_budget=14)
+    assert (r.answer, r.value, r.method) == (False, 3, "dp")
     ((args, _),) = calls
-    assert args[1] == out.decomposition
+    assert args[1].width == 4
+    args[1].check(underlying_undirected(d))
 
 
 def test_chain_try_that_overflows_falls_through_to_dp(monkeypatch):
@@ -684,6 +683,25 @@ def test_root_with_no_in_neighbour_tightens_the_bound(monkeypatch):
     assert pipeline == []
 
 
+def test_bound_of_k_or_more_skips_the_breadth_first_tree(monkeypatch):
+    # double_cycle(12) packs 6 vertices, so its bound is 7 >= k = 3: only
+    # decompose's first stage builds the tree
+    assert maxleaf.solver._packing_bound(double_cycle(12), 0) == 7
+    pipeline = sys.modules["maxleaf.decompose"]  # maxleaf.decompose is the function
+    trees = []
+    fn = pipeline.find_out_branching
+
+    def counting(d, root=None):
+        trees.append(root)
+        return fn(d, root)
+
+    for module in (maxleaf.solver, pipeline):
+        monkeypatch.setattr(module, "find_out_branching", counting)
+    r = solve_dmlob(double_cycle(12), 3)
+    assert (r.answer, r.value) == (False, 2)
+    assert len(trees) == 1
+
+
 # ----------------------------------------- dmlot from the spanning problem
 
 
@@ -744,7 +762,15 @@ def test_dmlot_searches_each_strong_component_once(monkeypatch):
     calls.clear()
     r = solve_dmlot(generate(GenSpec("tournament-transitive", n=8)), 8)
     assert r.answer is False and r.value == 7
-    assert len(calls) == 8
+    # vertex 6 is a strong component whose one out-neighbour is 7
+    assert len(calls) == 7
+    # every vertex of a path but the sink has one out-neighbour, so only
+    # the sink's region is built
+    calls.clear()
+    relabeled_path = Digraph(n, [(p[i], p[i + 1]) for i in range(n - 1)])
+    r = solve_dmlot(relabeled_path, 2)
+    assert r.answer is False and r.value == 1
+    assert calls == [p[-1]]
 
 
 def test_dmlot_skips_regions_that_cannot_beat_the_best(monkeypatch):
