@@ -160,6 +160,9 @@ def _cmd_solve(args) -> int:
     if args.k < 1:
         _emit_error("usage", "--k must be at least 1")
         return USAGE_EXIT
+    if args.budget_dp < 1 or args.budget_bnb < 0:
+        _emit_error("usage", "--budget-dp must be at least 1 and --budget-bnb at least 0")
+        return USAGE_EXIT
     solver = solve_dmlob if args.problem == "dmlob" else solve_dmlot
 
     def worker(name: str, text: str) -> str:

@@ -16,38 +16,38 @@ mode, and solve_dmlot, answer the out-tree question by the region
 reduction at the end of this docstring (_best_region): one spanning
 search per region, each under the caller's budgets.
 
-solve_dmlob / solve_dmlot combine decompose() with these engines.
-Before the pipeline runs, a root-level bound is checked
-(_settle_by_bound): vertices whose in-neighbourhoods are pairwise
-disjoint each force a distinct internal parent, so a greedy packing P
-of them caps every out-branching at n - |P| + 1 leaves (_packing_bound).
-When that cap is below k, the breadth-first out-branching from the root
-is built, and when it meets the cap it is optimal: it decides "no" in
-O(n + m) time, without building a decomposition; on a cycle both are 1.
-Only then does decompose() run, and only for its witness: a witness
-from the pipeline settles "yes" (its first stage returns the
-breadth-first tree when it has k leaves).  Every other case goes
-through one exact chain of three steps.  First comes a branch-and-bound
-try under a small work budget, which settles most small inputs in well
-under a millisecond.  A search node costs about n steps, so the try
-gets _TRY_WORK // n nodes.  A spanning search needs at least n nodes to
-reach its first complete tree, so when n^2 > _TRY_WORK the try cannot
-return and is skipped.  Second, the DP runs on a greedy min-frontier
-decomposition.  The pipeline's decomposition, the paper's width-k^3
-certificate, is not used here: it keeps the off-path vertices U1 in
-every bag, and the greedy one is almost always narrower.  Last, branch
-and bound runs under the caller's budget, unless the try already ran
-under that budget and overflowed.
+solve_dmlob / solve_dmlot first build one greedy out-branching from the
+root (_greedy_parents).  It starts from the root alone and keeps
+expanding the tree vertex with the most out-neighbours outside the tree,
+which takes all of them as children.  That is the greedy expansion rule
+for leafy spanning trees (Lu and Ravi, J. Algorithms 1998; Drescher and
+Vetta, ACM TALG 2010, for digraphs).  The tree spans, since the root
+reaches every vertex, and it settles what it can (_settle_by_tree): with
+k or more leaves it answers "yes".  Otherwise a root-level bound is
+checked: vertices whose in-neighbourhoods are pairwise disjoint each
+force a distinct internal parent, so a greedy packing P of them caps
+every out-branching at n - |P| + 1 leaves (_packing_bound).  A tree that
+meets the cap is optimal and answers "no" in O((n + m) log n) time; on a
+cycle both are 1.  Every other case goes through one exact chain of
+three steps.  First comes a branch-and-bound try under a small work
+budget, which settles most small inputs in well under a millisecond.  A
+search node costs about n steps, so the try gets _TRY_WORK // n nodes.
+A spanning search needs at least n nodes to reach its first complete
+tree, so when n^2 > _TRY_WORK the try cannot return and is skipped.
+Second, the DP runs on a greedy min-frontier decomposition.  Last,
+branch and bound runs under the caller's budget, unless the try already
+ran under that budget and overflowed.  The drivers never call
+decompose(), the paper's win/win: the greedy tree finds most of its
+witnesses, and its decomposition keeps the off-path vertices U1 in every
+bag, so the greedy min-frontier one is almost always narrower.
 
-Both drivers rest on one fact.  An out-tree rooted at u lies in d[R_u],
+solve_dmlot rests on one fact.  An out-tree rooted at u lies in d[R_u],
 the subdigraph induced by the vertices u reaches, and growing it by
 breadth-first search into an out-branching of d[R_u] never loses a
 leaf: hanging a new vertex under a leaf keeps the count, hanging it
-under an internal vertex raises it.  For solve_dmlob, a witness rooted
-in the source strong component therefore grows into a spanning one
-with at least k leaves.  For out-trees, the optimum of d is the largest
-spanning optimum over the regions d[R_C], one per strong component C,
-since all vertices of C reach the same set.
+under an internal vertex raises it.  So the out-tree optimum of d is the
+largest spanning optimum over the regions d[R_C], one per strong
+component C, since all vertices of C reach the same set.
 """
 
 from __future__ import annotations
@@ -55,10 +55,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .decompose import decompose, find_out_branching, grow_out_tree
+from .decompose import (
+    decompose,  # not called here: perfbench/spans.py wraps this name
+    find_out_branching,
+)
 from .digraph import (
     Digraph,
     arc_masks,
@@ -615,23 +619,63 @@ def _packing_bound(d: Digraph, root: int) -> int:
     return d.n - packed + 1
 
 
-def _settle_by_bound(d: Digraph, k: int, root: int) -> SolveResult | None:
-    """Answer "no" on d, with method "bound", when the breadth-first
-    out-branching from root, a vertex that reaches all of d, meets
-    _packing_bound(d, root) and that bound is below k; else return None.
+def _greedy_parents(d: Digraph, root: int) -> dict[int, int]:
+    """Parent map of a leafy out-branching of d from root, a vertex that
+    reaches all of d.
 
-    Such a tree is optimal, so its leaf count is the answer's value, in
-    O(n + m) time; on a cycle both are 1.  The bound is computed first
-    and the tree is built only when the bound is below k: no tree has
-    more leaves than the bound, so a bound of k or more settles nothing
-    here.  A tree with k leaves is left to decompose(d, k, root=root),
-    whose first stage returns it.
+    Starting from root alone, the tree vertex with the most out-neighbours
+    outside the tree (ties to the smaller label) takes all of them as
+    children, until no tree vertex has one; the tree then spans.  Each
+    vertex keeps its count of out-neighbours outside the tree, lowered for
+    every in-neighbour of a vertex that joins.  Counts only fall, so a heap
+    entry whose count is out of date is pushed again with the current one:
+    O((n + m) log n) in all.
     """
-    bound = _packing_bound(d, root)
-    if bound < k:
-        leaves = find_out_branching(d, root).leaf_count
-        if leaves >= bound:
-            return SolveResult("dmlob", k, False, leaves, False, "bound")
+    out_neighbors = d.out_neighbors
+    in_neighbors = d.in_neighbors
+    outside = [d.out_degree(v) for v in range(d.n)]
+    joined = [False] * d.n
+    joined[root] = True
+    for x in in_neighbors(root):
+        outside[x] -= 1
+    parent: dict[int, int] = {}
+    heap = [(-outside[root], root)]
+    while heap:
+        count, u = heappop(heap)
+        if outside[u] != -count:
+            if outside[u]:
+                heappush(heap, (-outside[u], u))
+            continue
+        children = [w for w in out_neighbors(u) if not joined[w]]
+        for w in children:
+            joined[w] = True
+            parent[w] = u
+            for x in in_neighbors(w):
+                outside[x] -= 1
+        for w in children:
+            if outside[w]:
+                heappush(heap, (-outside[w], w))
+    return parent
+
+
+def _settle_by_tree(d: Digraph, k: int, root: int) -> SolveResult | None:
+    """Decide dmlob on d by the greedy out-branching from root, a vertex
+    that reaches all of d, when that tree settles it; else return None.
+
+    A tree with k or more leaves answers "yes", with method
+    "greedy-tree" and the tree as its witness.  A tree that meets
+    _packing_bound(d, root) is optimal, so it answers "no", with method
+    "bound" and its leaf count as the value; on a cycle both are 1.  The
+    tree spans, so its leaves are the vertices that are no one's parent,
+    and an OutTree is built only for a "yes".
+    """
+    parent = _greedy_parents(d, root)
+    leaves = d.n - len(set(parent.values()))
+    if leaves >= k:
+        tree = OutTree(root, parent, d.n)
+        return SolveResult("dmlob", k, True, k, True, "greedy-tree", tree)
+    if leaves >= _packing_bound(d, root):
+        return SolveResult("dmlob", k, False, leaves, False, "bound")
     return None
 
 
@@ -644,10 +688,10 @@ def _decide_with_engines(
 ) -> SolveResult:
     """The exact chain of the module docstring, deciding dmlob on d.
 
-    Both callers run _settle_by_bound and then decompose first, so the
-    chain starts at the branch-and-bound try.  The try's node budget is
-    _TRY_WORK // n, capped by bnb_budget, and a try that could not reach
-    n nodes is skipped.  The DP runs on the greedy min-frontier
+    Both callers run _settle_by_tree first, so the chain starts at the
+    branch-and-bound try.  The try's node budget is _TRY_WORK // n,
+    capped by bnb_budget, and a try that could not reach n nodes is
+    skipped.  The DP runs on the greedy min-frontier
     decomposition of d; one wider than width_budget, or a table over
     dp_budget, raises OverBudgetError inside dp_pathwidth and passes on
     to branch and bound.  A try that already ran under bnb_budget and
@@ -676,6 +720,15 @@ def _decide_with_engines(
     return branch_and_bound(d, k, "spanning", node_budget=bnb_budget)
 
 
+def _check_budgets(width_budget: int, dp_budget: int, bnb_budget: int | None) -> None:
+    if width_budget < 0:
+        raise ContractError("width_budget must be at least 0")
+    if dp_budget < 1:
+        raise ContractError("dp_budget must be at least 1")
+    if bnb_budget is not None and bnb_budget < 0:
+        raise ContractError("bnb_budget must be None or at least 0")
+
+
 def solve_dmlob(
     d: Digraph,
     k: int,
@@ -687,21 +740,17 @@ def solve_dmlob(
 
     Exact for every digraph.  The root is the smallest vertex of the
     source strong component, which is the root find_out_branching picks
-    itself, so the components are computed once.  The packing bound and
-    the breadth-first out-branching from it come first
-    (_settle_by_bound); when they settle nothing, the pipeline runs
-    from the same root.  The bound step loses no "yes": when it holds,
-    the optimum is below k, so decompose could only have returned a
-    witness rooted outside the source strong component.  A pipeline
-    witness rooted in the source strong component grows into a spanning
-    one with no fewer leaves (see the module docstring), so it settles
-    "yes".  Every other outcome, a witness rooted elsewhere or a
-    decomposition, goes to the exact chain.
+    itself, so the components are computed once.  The greedy
+    out-branching from that root comes first (_settle_by_tree): it
+    answers "yes" when it has k leaves and "no" when it meets the
+    packing bound.  Every other case goes to the exact chain.  The
+    budgets are checked on entry, whichever step decides.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
     if d.n < 1:
         raise ContractError("empty digraph")
+    _check_budgets(width_budget, dp_budget, bnb_budget)
     comps = strongly_connected_components(d)
     sources = source_strong_components(comps)
     if len(sources) != 1:
@@ -710,13 +759,9 @@ def solve_dmlob(
     if k == 1:
         t = find_out_branching(d, root)
         return SolveResult("dmlob", k, True, 1, True, "trivial", t)
-    settled = _settle_by_bound(d, k, root)
+    settled = _settle_by_tree(d, k, root)
     if settled is not None:
         return settled
-    out = decompose(d, k, root=root)
-    if out.is_witness and comps.component_of[out.witness.root] == sources[0]:
-        witness = grow_out_tree(d, out.witness)
-        return SolveResult("dmlob", k, True, k, True, "decompose-witness", witness)
     return _decide_with_engines(d, k, width_budget, dp_budget, bnb_budget)
 
 
@@ -730,27 +775,24 @@ def solve_dmlot(
     """Decide whether d has any out-tree with at least k leaves.
 
     The answer is the best spanning answer over the regions d[R_C] (see
-    _best_region).  Each region is first checked by the packing bound
-    and its breadth-first out-branching (_settle_by_bound), then the
-    pipeline runs on it from its root.  A pipeline witness in a region
-    is already an out-tree of d, so it settles "yes" unconditionally;
-    otherwise the exact chain decides the region in spanning mode, under
-    the caller's budgets.  The pipeline's decomposition is not used.
+    _best_region).  Each region is first settled, when it can be, by its
+    greedy out-branching from the region's root (_settle_by_tree); a
+    tree with k leaves is already an out-tree of d.  Otherwise the exact
+    chain decides the region in spanning mode, under the caller's
+    budgets, which are checked on entry.
     """
     if k < 1:
         raise ContractError("k must be at least 1")
     if d.n < 1:
         raise ContractError("empty digraph")
+    _check_budgets(width_budget, dp_budget, bnb_budget)
     if k == 1:
         return SolveResult("dmlot", k, True, 1, True, "trivial", OutTree(0, {}, d.n))
 
     def decide(sub: Digraph, order: tuple[int, ...], root: int) -> SolveResult:
-        settled = _settle_by_bound(sub, k, root)
+        settled = _settle_by_tree(sub, k, root)
         if settled is not None:
             return settled
-        out = decompose(sub, k, root=root)
-        if out.is_witness:
-            return SolveResult("dmlot", k, True, k, True, "decompose-witness", out.witness)
         return _decide_with_engines(sub, k, width_budget, dp_budget, bnb_budget)
 
     return _best_region(d, k, decide)

@@ -147,6 +147,19 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
     assert code5 == 1
 
 
+def test_solve_rejects_bad_budgets_as_usage(capsys, monkeypatch):
+    text = write_digraph(cycle(5))
+    solve = ["solve", "--problem", "dmlob", "--k", "2"]
+    for flag, value in (("--budget-dp", "0"), ("--budget-bnb", "-1")):
+        code, out, err = run_cli(capsys, monkeypatch, solve + [flag, value], stdin=text)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "usage"
+    code, out, _ = run_cli(
+        capsys, monkeypatch, solve + ["--budget-dp", "1", "--budget-bnb", "0"], stdin=text
+    )
+    assert code == 0 and json.loads(out)["value"] == 1
+
+
 def test_input_errors_exit_two(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(
         capsys, monkeypatch, ["solve", "--problem", "dmlob", "--k", "2", "/no/such/file"]

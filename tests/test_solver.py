@@ -349,7 +349,7 @@ def test_solve_dmlob_double_cycle():
 
 def test_solve_dmlob_star_and_sources():
     r = solve_dmlob(out_star(20), 19)
-    assert r.answer is True and r.method == "decompose-witness"
+    assert r.answer is True and r.method == "greedy-tree"
     r2 = solve_dmlob(Digraph(4, [(0, 1), (2, 3)]), 2)
     assert r2.answer is False and r2.value == 0 and r2.method == "trivial"
 
@@ -368,7 +368,7 @@ def test_solve_dmlob_outside_family_witness_grows_to_spanning():
         warnings.simplefilter("error")
         r = solve_dmlob(d, 2)
     assert r.answer is True
-    assert r.method == "decompose-witness"
+    assert r.method == "greedy-tree"
     assert r.witness.is_spanning()
 
 
@@ -482,6 +482,18 @@ def test_drivers_reject_bad_arguments():
         solve_dmlob(cycle(3), 0)
     with pytest.raises(ContractError):
         solve_dmlot(cycle(3), -1)
+
+
+def test_drivers_check_budgets_whichever_step_decides():
+    # the bound settles cycle(5) at k = 2, so no engine sees these budgets
+    for solve in (solve_dmlob, solve_dmlot):
+        for k in (1, 2):
+            for budgets in ({"width_budget": -1}, {"dp_budget": 0}, {"bnb_budget": -1}):
+                with pytest.raises(ContractError):
+                    solve(cycle(5), k, **budgets)
+        r = solve(cycle(5), 2, width_budget=0, dp_budget=1, bnb_budget=0)
+        assert (r.answer, r.value, r.method) == (False, 1, "bound")
+        assert solve(cycle(5), 2, bnb_budget=None).method == "bound"
 
 
 def test_driver_budget_falls_back_to_search():
@@ -652,9 +664,7 @@ def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact(monkeypatch
                     continue
                 settled += 1
                 assert (r.answer, r.value) == (opt >= k, min(opt, k)), (d.arcs, k)
-                # settled before decompose; a dmlot answer's other
-                # regions may still reach it
-                assert pipeline == [] or solve is solve_dmlot, (d.arcs, k)
+                assert pipeline == [], (d.arcs, k)  # the drivers never call it
     assert settled > 0
 
 
@@ -683,23 +693,119 @@ def test_root_with_no_in_neighbour_tightens_the_bound(monkeypatch):
     assert pipeline == []
 
 
-def test_bound_of_k_or_more_skips_the_breadth_first_tree(monkeypatch):
-    # double_cycle(12) packs 6 vertices, so its bound is 7 >= k = 3: only
-    # decompose's first stage builds the tree
-    assert maxleaf.solver._packing_bound(double_cycle(12), 0) == 7
-    pipeline = sys.modules["maxleaf.decompose"]  # maxleaf.decompose is the function
-    trees = []
-    fn = pipeline.find_out_branching
+def _acyclic_two_step(n):
+    """The acyclic digraph with the arcs (i, i + 1) and (i, i + 2).  The
+    region of vertex i has optimum about (n - i) / 2, one above the
+    region of i + 2, so solve_dmlot decides every other region."""
+    return Digraph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n])
 
-    def counting(d, root=None):
-        trees.append(root)
-        return fn(d, root)
 
-    for module in (maxleaf.solver, pipeline):
-        monkeypatch.setattr(module, "find_out_branching", counting)
-    r = solve_dmlob(double_cycle(12), 3)
-    assert (r.answer, r.value) == (False, 2)
-    assert len(trees) == 1
+def test_each_decided_region_builds_one_greedy_tree(monkeypatch):
+    trees = _recording(monkeypatch, "_greedy_parents")
+    settles = _recording(monkeypatch, "_settle_by_tree")
+    bfs = _recording(monkeypatch, "find_out_branching")
+    cases = [
+        (solve_dmlob, double_cycle(12), 3, (False, 2)),  # the chain decides
+        (solve_dmlob, out_star(12), 11, (True, 11)),
+        (solve_dmlot, _nearly_transitive(12), 11, (False, 10)),
+        (solve_dmlot, _acyclic_two_step(30), 30, (False, 15)),
+    ]
+    for solve, d, k, expected in cases:
+        trees.clear()
+        settles.clear()
+        r = solve(d, k)
+        assert (r.answer, r.value) == expected
+        assert len(trees) == len(settles) >= 1
+        assert [args[0] for args, _ in trees] == [args[0] for args, _ in settles]
+    assert bfs == []
+
+
+def test_dmlot_settles_each_region_of_the_acyclic_two_step_digraph_by_bound(monkeypatch):
+    # a breadth-first tree has two leaves in every region here, so it
+    # meets the packing bound in few regions and the DP decides the rest
+    bnb = _recording(monkeypatch, "branch_and_bound")
+    dp = _recording(monkeypatch, "dp_pathwidth")
+    n = 300
+    r = solve_dmlot(_acyclic_two_step(n), n)
+    assert (r.answer, r.value, r.method) == (False, 150, "bound")
+    assert bnb == [] and dp == []
+
+
+_FAMILY_SPECS = [
+    *[GenSpec(family, n=n) for family in ("cycle", "double-cycle", "path", "out-star", "tournament-transitive")
+      for n in (4, 8, 12)],
+    *[GenSpec("tournament-random", n=n, seed=n) for n in (4, 8, 12)],
+    *[GenSpec("multipartite-tournament", parts=parts, seed=1) for parts in ((2, 2), (3, 3, 2), (4, 4, 4))],
+    *[GenSpec("min-in-degree-random", n=n, d=2, seed=n) for n in (4, 8, 12)],
+    *[GenSpec("strong-random", n=n, extra=n // 2, seed=n) for n in (4, 8, 12)],
+]
+
+
+def test_drivers_answer_every_k_without_decompose(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the drivers do not call decompose")
+
+    monkeypatch.setattr(maxleaf.solver, "decompose", refuse)
+    for spec in _FAMILY_SPECS:
+        d = generate(spec)
+        span, _ = brute_force_out_branching(d)
+        tree, _ = brute_force_out_tree(d)
+        for k in range(1, d.n + 1):
+            for solve, opt in ((solve_dmlob, span), (solve_dmlot, tree)):
+                r = solve(d, k)
+                assert (r.answer, r.value) == (opt >= k, min(opt, k)), (spec, k, solve)
+                if r.answer:
+                    assert validate_out_tree(d, r.witness).ok, (spec, k, solve)
+
+
+def _reaching_roots(d):
+    return [v for v in range(d.n) if len(reachable_set(d, v)) == d.n]
+
+
+def _tree_pool():
+    """Every labeled 4-vertex digraph, then seeded random digraphs, n <= 9."""
+    yield from all_digraphs(4)
+    rng = random.Random(22)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.15, 0.6)
+        yield Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
+def _greedy_tree(d, root):
+    return OutTree(root, maxleaf.solver._greedy_parents(d, root), d.n)
+
+
+def test_greedy_tree_spans_and_stays_below_the_optimum_and_the_bound():
+    roots = 0
+    for d in _tree_pool():
+        reaching = _reaching_roots(d)
+        if not reaching:
+            continue
+        opt, _ = brute_force_out_branching(d)
+        for root in reaching:
+            roots += 1
+            t = _greedy_tree(d, root)
+            rep = validate_out_tree(d, t)
+            assert rep.ok and rep.spanning and t.root == root, (d.arcs, root)
+            # _settle_by_tree counts the leaves as the vertices that are no one's parent
+            assert t.leaf_count == d.n - len(set(t.parent.values())), (d.arcs, root)
+            assert t.leaf_count <= opt, (d.arcs, root)
+            assert t.leaf_count <= maxleaf.solver._packing_bound(d, root), (d.arcs, root)
+    assert roots > 1000
+
+
+def test_greedy_tree_expands_the_vertex_with_most_new_out_neighbours():
+    # from 0, vertex 2 (three new out-neighbours) is expanded before 1
+    # (two), and 1 then has none left, so 2 takes 3, 4, 5 and 1 stays a
+    # leaf; breadth-first order would expand 1 first
+    d = Digraph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5)])
+    t = _greedy_tree(d, 0)
+    assert t.parent == {1: 0, 2: 0, 3: 2, 4: 2, 5: 2}
+    # on a tie the smaller label is expanded first
+    d2 = Digraph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    t2 = _greedy_tree(d2, 0)
+    assert t2.parent == {1: 0, 2: 0, 3: 1, 4: 1}
 
 
 # ----------------------------------------- dmlot from the spanning problem
@@ -774,8 +880,8 @@ def test_dmlot_searches_each_strong_component_once(monkeypatch):
 
 
 def test_dmlot_skips_regions_that_cannot_beat_the_best(monkeypatch):
-    # every region that is decided goes through _settle_by_bound first
-    calls = _recording(monkeypatch, "_settle_by_bound")
+    # every region that is decided goes through _settle_by_tree first
+    calls = _recording(monkeypatch, "_settle_by_tree")
     # the first region spans all 12 vertices and gives 10 leaves; every
     # other region has at most 7 vertices, so at most 6 leaves
     d = _nearly_transitive(12)
