@@ -105,23 +105,9 @@ def find_out_branching(d: Digraph, root: int | None = None) -> OutTree:
         root = comps.components[sources[0]][0]
     elif not 0 <= root < d.n:
         raise ContractError(f"root {root} out of range")
-    t = grow_out_tree(d, OutTree(root, {}, d.n))
-    if not t.is_spanning():
-        missing = sorted(set(range(d.n)) - t.vertices)
-        raise ContractError(f"vertices {missing} unreachable from root {root}")
-    return t
-
-
-def grow_out_tree(d: Digraph, t: OutTree) -> OutTree:
-    """Extend the out-tree t by breadth-first search from its vertices,
-    taken in sorted order, so every vertex t reaches in d joins it.
-
-    No leaf is lost: a vertex hung under a leaf keeps the count, one
-    hung under an internal vertex raises it.
-    """
-    parent = dict(t.parent)
-    seen = set(t.vertices)
-    queue = deque(sorted(seen))
+    parent: dict[int, int] = {}
+    seen = {root}
+    queue = deque([root])
     while queue:
         u = queue.popleft()
         for v in d.out_neighbors(u):
@@ -129,7 +115,10 @@ def grow_out_tree(d: Digraph, t: OutTree) -> OutTree:
                 seen.add(v)
                 parent[v] = u
                 queue.append(v)
-    return OutTree(t.root, parent, d.n)
+    if len(seen) < d.n:
+        missing = sorted(set(range(d.n)) - seen)
+        raise ContractError(f"vertices {missing} unreachable from root {root}")
+    return OutTree(root, parent, d.n)
 
 
 def _check_tree_shape(t: OutTree) -> None:

@@ -23,12 +23,16 @@ which takes all of them as children.  That is the greedy expansion rule
 for leafy spanning trees (Lu and Ravi, J. Algorithms 1998; Drescher and
 Vetta, ACM TALG 2010, for digraphs).  The tree spans, since the root
 reaches every vertex, and it settles what it can (_settle_by_tree): with
-k or more leaves it answers "yes".  Otherwise a root-level bound is
-checked: vertices whose in-neighbourhoods are pairwise disjoint each
+k or more leaves it answers "yes".  Otherwise two upper bounds are
+checked.  Vertices whose in-neighbourhoods are pairwise disjoint each
 force a distinct internal parent, so a greedy packing P of them caps
-every out-branching at n - |P| + 1 leaves (_packing_bound).  A tree that
-meets the cap is optimal and answers "no" in O((n + m) log n) time; on a
-cycle both are 1.  Every other case goes through one exact chain of
+every out-branching at n - |P| + 1 leaves (_packing_bound); on a cycle
+the tree and the cap are both 1.  The arcs of an out-branching form a
+spanning tree of the underlying simple graph U, and its leaves are
+leaves of that tree, so it has at most 2 + sum max(0, deg_U(v) - 2)
+leaves (_degree_bound); on a double cycle the tree and the cap are both
+2.  A tree that meets either cap is optimal and answers "no" in
+O((n + m) log n) time.  Every other case goes through one exact chain of
 three steps.  First comes a branch-and-bound try under a small work
 budget, which settles most small inputs in well under a millisecond.  A
 search node costs about n steps, so the try gets _TRY_WORK // n nodes.
@@ -619,6 +623,26 @@ def _packing_bound(d: Digraph, root: int) -> int:
     return d.n - packed + 1
 
 
+def _degree_bound(d: Digraph, cap: int) -> int:
+    """Upper bound on the leaves of any out-branching of d: 2 plus the
+    sum over v of max(0, deg_U(v) - 2), where U is the underlying simple
+    graph (a 2-cycle is one edge), when that is at most cap.  Summing
+    stops once the total passes cap, so a larger bound returns some
+    value above cap.
+
+    The arcs of an out-branching form a spanning tree T of U.  A tree
+    on n >= 2 vertices has exactly 2 + sum max(0, deg_T(v) - 2) leaves,
+    and deg_T(v) <= deg_U(v).  Every leaf of the out-branching has
+    degree 1 in T, so it is a leaf of T.  On one vertex the bound is 2.
+    """
+    total = 2
+    for v in range(d.n):
+        total += max(0, len({*d.out_neighbors(v), *d.in_neighbors(v)}) - 2)
+        if total > cap:
+            break
+    return total
+
+
 def _greedy_parents(d: Digraph, root: int) -> dict[int, int]:
     """Parent map of a leafy out-branching of d from root, a vertex that
     reaches all of d.
@@ -663,18 +687,21 @@ def _settle_by_tree(d: Digraph, k: int, root: int) -> SolveResult | None:
     that reaches all of d, when that tree settles it; else return None.
 
     A tree with k or more leaves answers "yes", with method
-    "greedy-tree" and the tree as its witness.  A tree that meets
-    _packing_bound(d, root) is optimal, so it answers "no", with method
-    "bound" and its leaf count as the value; on a cycle both are 1.  The
-    tree spans, so its leaves are the vertices that are no one's parent,
-    and an OutTree is built only for a "yes".
+    "greedy-tree" and the tree as its witness.  A tree that meets an
+    upper bound is optimal, so it answers "no", with method "bound" and
+    its leaf count as the value.  The bounds are _packing_bound(d, root),
+    which settles cycles and directed paths (both are 1), and then
+    _degree_bound, which settles double cycles (both are 2); the second
+    is computed only when the first does not settle.  The tree spans,
+    so its leaves are the vertices that are no one's parent, and an
+    OutTree is built only for a "yes".
     """
     parent = _greedy_parents(d, root)
     leaves = d.n - len(set(parent.values()))
     if leaves >= k:
         tree = OutTree(root, parent, d.n)
         return SolveResult("dmlob", k, True, k, True, "greedy-tree", tree)
-    if leaves >= _packing_bound(d, root):
+    if leaves >= _packing_bound(d, root) or leaves >= _degree_bound(d, leaves):
         return SolveResult("dmlob", k, False, leaves, False, "bound")
     return None
 
@@ -743,8 +770,9 @@ def solve_dmlob(
     itself, so the components are computed once.  The greedy
     out-branching from that root comes first (_settle_by_tree): it
     answers "yes" when it has k leaves and "no" when it meets the
-    packing bound.  Every other case goes to the exact chain.  The
-    budgets are checked on entry, whichever step decides.
+    packing bound or the degree bound.  Every other case goes to the
+    exact chain.  The budgets are checked on entry, whichever step
+    decides.
     """
     if k < 1:
         raise ContractError("k must be at least 1")

@@ -46,6 +46,14 @@ def _identity_pd(d):
     return ordering_to_path_decomposition(underlying_undirected(d), list(range(d.n)))
 
 
+def _chorded_double_cycle(n):
+    """double_cycle(n) plus the one-way chord (0, 2).  Its optimum is 3,
+    which the greedy tree finds, but its degree bound is 4 and its
+    packing bound about n / 2, so at k = 4 neither bound settles it and
+    the exact chain decides."""
+    return Digraph(n, [*double_cycle(n).arcs, (0, 2)])
+
+
 # ------------------------------------------------------- SolveResult
 
 
@@ -445,18 +453,18 @@ def test_solve_dmlot_value_reports_best_found():
 
 
 def test_solve_dmlot_no_answer_names_the_deciding_engine():
-    # the packing bound of a double cycle is about n / 2 + 1, far above
-    # its optimum of 2, so it settles none of these
-    r = solve_dmlot(double_cycle(10), 3)
-    assert r.answer is False and r.value == 2
+    # neither bound settles these (see _chorded_double_cycle)
+    assert brute_force_out_tree(_chorded_double_cycle(10))[0] == 3
+    r = solve_dmlot(_chorded_double_cycle(10), 4)
+    assert r.answer is False and r.value == 3
     assert r.method == "branch-and-bound"  # the first try settles it
     # n^2 above the try's work budget: the try is skipped and the DP decides
     assert 150 * 150 > maxleaf.solver._TRY_WORK
-    r1 = solve_dmlot(double_cycle(150), 3)
-    assert r1.answer is False and r1.value == 2
+    r1 = solve_dmlot(_chorded_double_cycle(150), 4)
+    assert r1.answer is False and r1.value == 3
     assert r1.method == "dp"
-    r2 = solve_dmlot(double_cycle(10), 3, width_budget=0)
-    assert r2.answer is False and r2.value == 2
+    r2 = solve_dmlot(_chorded_double_cycle(10), 4, width_budget=0)
+    assert r2.answer is False and r2.value == 3
     assert r2.method == "branch-and-bound"
     assert solve_dmlot(cycle(10), 1).method == "trivial"
     # on a cycle the bound meets the breadth-first tree
@@ -497,12 +505,13 @@ def test_drivers_check_budgets_whichever_step_decides():
 
 
 def test_driver_budget_falls_back_to_search():
-    d = double_cycle(7)
-    r = solve_dmlob(d, 3, dp_budget=5)
+    d = _chorded_double_cycle(7)
+    assert brute_force_out_branching(d)[0] == 3
+    r = solve_dmlob(d, 4, dp_budget=5)
     assert r.method == "branch-and-bound"
-    r2 = solve_dmlob(d, 3, width_budget=0)
+    r2 = solve_dmlob(d, 4, width_budget=0)
     assert r2.method == "branch-and-bound"
-    full = solve_dmlob(d, 3)
+    full = solve_dmlob(d, 4)
     assert (r.answer, r.value) == (full.answer, full.value)
     assert (r2.answer, r2.value) == (full.answer, full.value)
 
@@ -558,13 +567,14 @@ def test_chain_decides_large_sparse_instance_by_dp():
 
 
 def test_chain_runs_dp_on_the_greedy_decomposition(monkeypatch):
-    d = double_cycle(12)
-    out = decompose(d, 3)
-    assert not out.is_witness and out.decomposition.width == 5
+    d = _chorded_double_cycle(12)
+    assert brute_force_out_branching(d)[0] == 3
+    out = decompose(d, 4)
+    assert not out.is_witness and out.decomposition.width == 6
     calls = _recording(monkeypatch, "dp_pathwidth")
     # a search budget below n skips the try
-    r = solve_dmlob(d, 3, width_budget=2, bnb_budget=11)
-    assert (r.answer, r.value, r.method) == (False, 2, "dp")
+    r = solve_dmlob(d, 4, width_budget=2, bnb_budget=11)
+    assert (r.answer, r.value, r.method) == (False, 3, "dp")
     ((args, _),) = calls
     assert args[1].width == 2
     args[1].check(underlying_undirected(d))
@@ -586,15 +596,14 @@ def test_chain_runs_dp_on_the_greedy_decomposition_when_the_pipeline_is_narrower
 
 
 def test_chain_try_that_overflows_falls_through_to_dp(monkeypatch):
-    # the spanning search on double_cycle(60) at k=3 needs more than
-    # _TRY_WORK // n nodes, yet n^2 is within _TRY_WORK, so the try runs
-    # and overflows
+    # the spanning search on _chorded_double_cycle(60) at k=4 needs more
+    # than _TRY_WORK // n nodes, yet n^2 is within _TRY_WORK, so the try
+    # runs and overflows
     n = 60
     assert n <= maxleaf.solver._TRY_WORK // n
     calls = _recording(monkeypatch, "branch_and_bound")
-    r = solve_dmlob(double_cycle(n), 3)
-    assert r.method != "bound"
-    assert (r.answer, r.value, r.method) == (False, 2, "dp")
+    r = solve_dmlob(_chorded_double_cycle(n), 4)
+    assert (r.answer, r.value, r.method) == (False, 3, "dp")
     ((_, outcome),) = calls
     assert isinstance(outcome, OverBudgetError)
 
@@ -608,7 +617,7 @@ def test_chain_does_not_repeat_a_try_capped_by_the_budget(monkeypatch):
     for solve in (solve_dmlob, solve_dmlot):
         calls.clear()
         with pytest.raises(OverBudgetError):
-            solve(double_cycle(60), 3, width_budget=0, bnb_budget=150)
+            solve(_chorded_double_cycle(60), 4, width_budget=0, bnb_budget=150)
         ((_, outcome),) = calls
         assert isinstance(outcome, OverBudgetError)
 
@@ -621,9 +630,8 @@ def test_drivers_reach_both_engines_through_the_solver_module(monkeypatch):
     for solve in (solve_dmlob, solve_dmlot):
         bnb.clear()
         dp.clear()
-        r = solve(double_cycle(60), 3)  # the try overflows, then the DP decides
-        assert r.method != "bound"
-        assert (r.answer, r.value, r.method) == (False, 2, "dp")
+        r = solve(_chorded_double_cycle(60), 4)  # the try overflows, then the DP decides
+        assert (r.answer, r.value, r.method) == (False, 3, "dp")
         assert (len(bnb), len(dp)) == (1, 1)
 
 
@@ -641,20 +649,33 @@ def _source_root(d):
     return comps.components[source_strong_components(comps)[0]][0]
 
 
+def _assert_degree_bound(d, span):
+    """_degree_bound(d, cap) is the underlying-degree bound when that is
+    at most cap, and above cap otherwise; the bound is at least span."""
+    g = underlying_undirected(d)
+    full = 2 + sum(max(0, g.degree(v) - 2) for v in range(d.n))
+    assert full >= span, d.arcs
+    for cap in range(full + 1):
+        got = maxleaf.solver._degree_bound(d, cap)
+        assert got == full if full <= cap else got > cap, (d.arcs, cap)
+
+
 def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact(monkeypatch):
     # criterion 1 already checks every answer on the 4-vertex digraphs
     pipeline = _recording(monkeypatch, "decompose")
     for d in all_digraphs(4):
-        bound = maxleaf.solver._packing_bound(d, _source_root(d))
-        assert bound >= brute_force_out_branching(d)[0], d.arcs
+        span = brute_force_out_branching(d)[0]
+        assert maxleaf.solver._packing_bound(d, _source_root(d)) >= span, d.arcs
+        _assert_degree_bound(d, span)
     rng = random.Random(15)
-    settled = 0
+    settled = by_degree = 0
     for _ in range(200):
         n = rng.randint(2, 9)
         p = rng.uniform(0.1, 0.5)  # sparse enough that many are not strong
         d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
         span, _ = brute_force_out_branching(d)
         assert maxleaf.solver._packing_bound(d, _source_root(d)) >= span, d.arcs
+        _assert_degree_bound(d, span)
         tree, _ = brute_force_out_tree(d)
         for k in range(2, n + 1):
             for solve, opt in ((solve_dmlob, span), (solve_dmlot, tree)):
@@ -665,7 +686,9 @@ def test_packing_bound_is_an_upper_bound_and_bound_answers_are_exact(monkeypatch
                 settled += 1
                 assert (r.answer, r.value) == (opt >= k, min(opt, k)), (d.arcs, k)
                 assert pipeline == [], (d.arcs, k)  # the drivers never call it
-    assert settled > 0
+                if solve is solve_dmlob and r.value < maxleaf.solver._packing_bound(d, _source_root(d)):
+                    by_degree += 1  # the packing bound did not settle it
+    assert settled > by_degree > 0
 
 
 def test_bound_settles_a_cycle_without_either_engine(monkeypatch):
@@ -678,6 +701,43 @@ def test_bound_settles_a_cycle_without_either_engine(monkeypatch):
     r = solve_dmlob(cycle(10**5), 2)
     assert (r.answer, r.value, r.method) == (False, 1, "bound")
     assert bnb == [] and dp == [] and pipeline == []
+
+
+def test_packing_bound_settles_cycles_before_the_degree_bound_is_computed(monkeypatch):
+    degree = _recording(monkeypatch, "_degree_bound")
+    for solve in (solve_dmlob, solve_dmlot):
+        for d in (cycle(150), directed_path(150)):
+            r = solve(d, 2)
+            assert (r.answer, r.value, r.method) == (False, 1, "bound")
+    assert degree == []
+    # a double cycle is where the packing bound fails and the degree bound is needed
+    r = solve_dmlob(double_cycle(150), 3)
+    assert (r.answer, r.value, r.method) == (False, 2, "bound")
+    ((args, bound),) = degree
+    assert bound == 2 and maxleaf.solver._packing_bound(args[0], 0) == 77
+
+
+def test_degree_bound_stops_summing_once_it_passes_the_cap():
+    # each vertex of a tournament on 40 vertices adds 37, so the sum
+    # passes the leaf count of any tree within a few vertices
+    d = generate(GenSpec("tournament-random", n=40, seed=1))
+    assert maxleaf.solver._degree_bound(d, 100) == 2 + 3 * 37
+    assert maxleaf.solver._degree_bound(d, 40 * 37) == 2 + 40 * 37
+    assert maxleaf.solver._degree_bound(_chorded_double_cycle(20), 3) == 4
+
+
+def test_degree_bound_settles_a_large_relabeled_double_cycle(monkeypatch):
+    # the packing bound is about n / 2 here, so without the degree bound
+    # the DP would decide, in seconds rather than milliseconds
+    n = 20000
+    p = list(range(n))
+    random.Random(23).shuffle(p)
+    d = Digraph(n, [(p[i], p[j]) for i in range(n) for j in ((i + 1) % n, (i - 1) % n)])
+    engines = [_recording(monkeypatch, name) for name in ("branch_and_bound", "dp_pathwidth", "decompose")]
+    for solve in (solve_dmlob, solve_dmlot):
+        r = solve(d, 3)
+        assert (r.answer, r.value, r.method) == (False, 2, "bound")
+    assert engines == [[], [], []]
 
 
 def test_root_with_no_in_neighbour_tightens_the_bound(monkeypatch):
@@ -705,7 +765,7 @@ def test_each_decided_region_builds_one_greedy_tree(monkeypatch):
     settles = _recording(monkeypatch, "_settle_by_tree")
     bfs = _recording(monkeypatch, "find_out_branching")
     cases = [
-        (solve_dmlob, double_cycle(12), 3, (False, 2)),  # the chain decides
+        (solve_dmlob, _chorded_double_cycle(12), 4, (False, 3)),  # the chain decides
         (solve_dmlob, out_star(12), 11, (True, 11)),
         (solve_dmlot, _nearly_transitive(12), 11, (False, 10)),
         (solve_dmlot, _acyclic_two_step(30), 30, (False, 15)),
