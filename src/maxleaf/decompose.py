@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .digraph import (
     Digraph,
+    _source_root,
     induced_subdigraph,
     source_strong_components,
     strongly_connected_components,
@@ -92,17 +93,17 @@ def find_out_branching(d: Digraph, root: int | None = None) -> OutTree:
     """Spanning out-tree by breadth-first search.
 
     Without a root, starts from the smallest vertex of the unique source
-    strong component; raises NoOutBranchingError (naming the source
-    components) when there are two or more.
+    strong component, found by graph search (_source_root); when there
+    are two or more, the strong components are computed only to name
+    the sources in the NoOutBranchingError.
     """
     if root is None:
-        comps = strongly_connected_components(d)
-        sources = source_strong_components(comps)
-        if len(sources) != 1:
+        root = _source_root(d)
+        if root is None:
+            comps = strongly_connected_components(d)
             raise NoOutBranchingError(
-                [list(comps.components[i]) for i in sources]
+                [list(comps.components[i]) for i in source_strong_components(comps)]
             )
-        root = comps.components[sources[0]][0]
     elif not 0 <= root < d.n:
         raise ContractError(f"root {root} out of range")
     parent: dict[int, int] = {}

@@ -36,6 +36,17 @@ class Digraph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             arc_set.add((u, v))
+        self._fill(n, arc_set)
+
+    @classmethod
+    def _from_checked(cls, n: int, arc_set: set[Arc]) -> Digraph:
+        """Digraph on n vertices whose arcs are already known to be in
+        range and free of self-loops: the checks of __init__ are skipped."""
+        d = cls.__new__(cls)
+        d._fill(n, arc_set)
+        return d
+
+    def _fill(self, n: int, arc_set: set[Arc]) -> None:
         self.n = n
         self.arcs = frozenset(arc_set)
         out: list[list[int]] = [[] for _ in range(n)]
@@ -193,7 +204,7 @@ def parse_digraph(text: str | bytes) -> Digraph:
         raise ParseError("missing problem line")
     if arc_lines != declared_m:
         raise ParseError(f"expected {declared_m} arc lines, found {arc_lines}")
-    return Digraph(n, arcs)
+    return Digraph._from_checked(n, arcs)
 
 
 def write_digraph(d: Digraph) -> str:
@@ -204,7 +215,66 @@ def write_digraph(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _search(adj: tuple[tuple[int, ...], ...], start: int, seen: list[bool]) -> list[int]:
+    """Vertices reachable from start along the lists adj (d._out, or
+    d._in to search against the arcs) that seen does not mark yet;
+    marks them in seen."""
+    seen[start] = True
+    found = [start]
+    todo = [start]
+    while todo:
+        for w in adj[todo.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                found.append(w)
+                todo.append(w)
+    return found
+
+
+def _source_root(d: Digraph) -> int | None:
+    """Smallest vertex of the unique source strong component of d; None
+    when there is none, that is, when d has no out-branching.
+
+    A search starts from each vertex not yet seen, in label order, and
+    marks what it reaches.  Suppose d has a unique source component S,
+    so every vertex of S reaches all of d.  No vertex outside S reaches
+    S, so the first search that marks a vertex of S starts in S.  It
+    marks every vertex still unseen, so it is the last search.  Hence,
+    when the last start does not reach every vertex, d has no unique
+    source component.  When it does, every vertex that reaches it lies
+    in its strong component, which is then the unique source component,
+    and a search against the arcs finds its smallest vertex.  When
+    vertex 0 reaches all of d, the first search is the only one.
+    """
+    n = d.n
+    seen = [False] * n
+    last = -1
+    for v in range(n):
+        if not seen[v]:
+            last = v
+            _search(d._out, v, seen)
+    if last <= 0:
+        return None if last < 0 else 0
+    if len(_search(d._out, last, [False] * n)) < n:
+        return None
+    return min(_search(d._in, last, [False] * n))
+
+
 def strongly_connected_components(d: Digraph) -> Condensation:
+    """Strong components and their condensation, in canonical order.
+
+    When two searches from vertex 0, one along the arcs and one against
+    them, both reach every vertex, d is strong: one component, no
+    condensation arcs.  Otherwise Tarjan's algorithm runs (_tarjan).
+    """
+    n = d.n
+    reaches_all = n > 0 and len(_search(d._out, 0, [False] * n)) == n
+    if reaches_all and len(_search(d._in, 0, [False] * n)) == n:
+        return Condensation((tuple(range(n)),), frozenset(), (0,) * n)
+    return _tarjan(d)
+
+
+def _tarjan(d: Digraph) -> Condensation:
     """Tarjan's algorithm, iterative; canonical component order."""
     n = d.n
     index = [-1] * n
@@ -270,10 +340,11 @@ def source_strong_components(c: Condensation) -> list[int]:
 
 
 def has_out_branching(d: Digraph) -> bool:
-    """True iff the condensation has exactly one source strong component."""
+    """True iff the condensation has exactly one source strong component,
+    decided by graph search (_source_root)."""
     if d.n < 1:
         raise ValueError("empty digraph")
-    return len(source_strong_components(strongly_connected_components(d))) == 1
+    return _source_root(d) is not None
 
 
 def reachable_set(d: Digraph, v: int) -> set[int]:
@@ -302,12 +373,13 @@ def induced_subdigraph(d: Digraph, s: Iterable[int]) -> tuple[Digraph, tuple[int
         if not (0 <= v < d.n):
             raise ValueError(f"vertex {v} out of range")
     local = {v: i for i, v in enumerate(order)}
-    arcs = [
-        (local[u], local[v])
-        for u, v in d.arcs
-        if u in local and v in local
-    ]
-    return Digraph(len(order), arcs), order
+    arcs = {
+        (i, local[v])
+        for i, u in enumerate(order)
+        for v in d._out[u]
+        if v in local
+    }
+    return Digraph._from_checked(len(order), arcs), order
 
 
 def iter_bits(mask: int):

@@ -5,7 +5,8 @@ Three engines, equivalent on their common domain:
 * branch_and_bound grows partial out-branchings vertex by vertex with
   an optimistic leaf bound; exact on any digraph, used as the fallback.
   The bound drops one leaf per set in a packing of disjoint
-  forced-parent sets (see the function's docstring).
+  forced-parent sets, and the search starts from the leaf count of the
+  greedy out-branching below (see the function's docstring).
 * dp_pathwidth runs over a path decomposition of the underlying
   undirected graph; exact, fast when the width is small.
 * the brute-force subset oracles live in oracle.py and are only for
@@ -17,11 +18,14 @@ reduction at the end of this docstring (_best_region): one spanning
 search per region, each under the caller's budgets.
 
 solve_dmlob / solve_dmlot first build one greedy out-branching from the
-root (_greedy_parents).  It starts from the root alone and keeps
-expanding the tree vertex with the most out-neighbours outside the tree,
-which takes all of them as children.  That is the greedy expansion rule
-for leafy spanning trees (Lu and Ravi, J. Algorithms 1998; Drescher and
-Vetta, ACM TALG 2010, for digraphs).  The tree spans, since the root
+root (_greedy_parents).  The root is the smallest vertex of the source
+strong component; graph searches find it (digraph._source_root), and
+Tarjan's algorithm runs only when solve_dmlot needs the components of
+a digraph that is not strong.  The tree starts from the root alone and
+keeps expanding the tree vertex with the most out-neighbours outside
+the tree, which takes all of them as children.  That is the greedy
+expansion rule for leafy spanning trees (Lu and Ravi, J. Algorithms
+1998; Drescher and Vetta, ACM TALG 2010, for digraphs).  The tree spans, since the root
 reaches every vertex, and it settles what it can (_settle_by_tree): with
 k or more leaves it answers "yes".  Otherwise two upper bounds are
 checked.  Vertices whose in-neighbourhoods are pairwise disjoint each
@@ -69,11 +73,12 @@ from .decompose import (
 )
 from .digraph import (
     Digraph,
+    _search,
+    _source_root,
     arc_masks,
     in_L_sufficient,  # not called here: perfbench/spans.py wraps this name
     induced_subdigraph,
     reachable_set,
-    source_strong_components,
     strongly_connected_components,
     underlying_undirected,
 )
@@ -159,8 +164,9 @@ def _best_region(
     vertex v (see the module docstring).  decide(sub, order, root) gets
     sub = d[R_C], whose vertex i is order[i] in d and whose vertex root
     is v; when C reaches every vertex, sub is d itself and order the
-    identity.  It answers whether sub has an out-branching with at
-    least k leaves; a "yes" may carry any out-tree of sub with k leaves.
+    identity, and when d is strong no search is made for the region.
+    It answers whether sub has an out-branching with at least k leaves;
+    a "yes" may carry any out-tree of sub with k leaves.
 
     A region with r vertices holds at most max(1, r - 1) leaves, so a
     region that cannot beat the best value so far is skipped.  So is a
@@ -178,11 +184,13 @@ def _best_region(
     """
     best = 0
     best_method = "trivial"
-    for comp in strongly_connected_components(d).components:
+    components = strongly_connected_components(d).components
+    for comp in components:
         v = comp[0]
         if len(comp) == 1 and d.out_degree(v) == 1:
             continue  # no better than the region of v's out-neighbour
-        region = reachable_set(d, v)
+        # a strong digraph is its one component's region
+        region = range(d.n) if len(components) == 1 else reachable_set(d, v)
         if max(1, len(region) - 1) <= best:
             continue  # too small to beat the best region so far
         if len(region) == d.n:
@@ -211,12 +219,14 @@ def branch_and_bound(
     one spanning search per region (see the module docstring), and the
     node_budget applies to each of those searches.
 
-    The search starts from each vertex of the source strong component
-    and branches on the smallest vertex that currently has an eligible
-    parent in the tree: attach it under each such parent in turn, then
-    defer it (banning the parents it just declined).  The bound is the
-    current leaf count plus every vertex outside the tree, all of which
-    the tree reaches, since each root is in the source strong component.
+    The search starts from each vertex of the source strong component,
+    in label order: _source_root finds its smallest vertex and one
+    search against the arcs the rest.  It branches on the smallest
+    vertex that currently has an eligible parent in the tree: attach it
+    under each such parent in turn, then defer it (banning the parents
+    it just declined).  The bound is the current leaf count plus every
+    vertex outside the tree, all of which the tree reaches, since each
+    root is in the source strong component.
 
     A packing of forced parents tightens that bound.
     Every vertex x outside the tree must still get a parent, and inside
@@ -233,6 +243,18 @@ def branch_and_bound(
     the search meets the same improvements in the same order and
     returns the same witness.
 
+    The best value starts at min(g, k - 1), where g is the leaf count of
+    the greedy out-branching from the first root (_greedy_parents), so at
+    most the optimum.  Every cut compares a bound with the best value,
+    so a higher best only cuts more, and what it cuts holds no tree with
+    more leaves than the best.  By induction over the nodes, the seeded
+    search visits a subset of the nodes of the search that starts at 0,
+    in the same order, and at each of them its best value is the larger
+    of the seed and that search's best.  Both meet the first tree with
+    k or more leaves, more than the seed, at the same node, so a "yes"
+    returns the same witness; a "no" returns the optimum, which is at
+    least the seed.
+
     With a node_budget, exceeding it raises OverBudgetError.
     """
     if mode not in _MODES:
@@ -246,15 +268,15 @@ def branch_and_bound(
             d, k, lambda sub, order, root: branch_and_bound(sub, k, "spanning", node_budget)
         )
     n = d.n
+    root = _source_root(d)
+    if root is None:
+        return SolveResult("dmlob", k, False, 0, False, "branch-and-bound")
+    roots = sorted(_search(d._in, root, [False] * n))  # the source component
     full = (1 << n) - 1
     _, in_mask = arc_masks(d)
-    comps = strongly_connected_components(d)
-    sources = source_strong_components(comps)
-    if len(sources) != 1:
-        return SolveResult("dmlob", k, False, 0, False, "branch-and-bound")
-    roots = list(comps.components[sources[0]])
 
-    best = 0
+    parents = _greedy_parents(d, root)
+    best = min(n - len(set(parents.values())), k - 1)
     best_tree: tuple[int, dict[int, int]] | None = None
     nodes = 0
     parent: dict[int, int] = {}
@@ -611,14 +633,15 @@ def _packing_bound(d: Digraph, root: int) -> int:
     takes a distinct internal parent, and at most n - |P| vertices are
     leaves.
     """
+    in_lists = d._in
     taken: set[int] = set()
     packed = 0
-    for x in sorted(range(d.n), key=d.in_degree):
-        ins = d.in_neighbors(x)
+    for x in sorted(range(d.n), key=[len(ins) for ins in in_lists].__getitem__):
+        ins = in_lists[x]
         if ins and taken.isdisjoint(ins):
             taken.update(ins)
             packed += 1
-    if d.in_degree(root) == 0:
+    if not in_lists[root]:
         return d.n - packed
     return d.n - packed + 1
 
@@ -655,12 +678,12 @@ def _greedy_parents(d: Digraph, root: int) -> dict[int, int]:
     entry whose count is out of date is pushed again with the current one:
     O((n + m) log n) in all.
     """
-    out_neighbors = d.out_neighbors
-    in_neighbors = d.in_neighbors
-    outside = [d.out_degree(v) for v in range(d.n)]
+    out_neighbors = d._out
+    in_neighbors = d._in
+    outside = [len(ws) for ws in out_neighbors]
     joined = [False] * d.n
     joined[root] = True
-    for x in in_neighbors(root):
+    for x in in_neighbors[root]:
         outside[x] -= 1
     parent: dict[int, int] = {}
     heap = [(-outside[root], root)]
@@ -670,11 +693,11 @@ def _greedy_parents(d: Digraph, root: int) -> dict[int, int]:
             if outside[u]:
                 heappush(heap, (-outside[u], u))
             continue
-        children = [w for w in out_neighbors(u) if not joined[w]]
+        children = [w for w in out_neighbors[u] if not joined[w]]
         for w in children:
             joined[w] = True
             parent[w] = u
-            for x in in_neighbors(w):
+            for x in in_neighbors[w]:
                 outside[x] -= 1
         for w in children:
             if outside[w]:
@@ -766,8 +789,9 @@ def solve_dmlob(
     """Decide whether some spanning out-tree of d has at least k leaves.
 
     Exact for every digraph.  The root is the smallest vertex of the
-    source strong component, which is the root find_out_branching picks
-    itself, so the components are computed once.  The greedy
+    source strong component, found by graph search without computing the
+    strong components (_source_root); the chain's branch and bound finds
+    it again the same way.  The greedy
     out-branching from that root comes first (_settle_by_tree): it
     answers "yes" when it has k leaves and "no" when it meets the
     packing bound or the degree bound.  Every other case goes to the
@@ -779,11 +803,9 @@ def solve_dmlob(
     if d.n < 1:
         raise ContractError("empty digraph")
     _check_budgets(width_budget, dp_budget, bnb_budget)
-    comps = strongly_connected_components(d)
-    sources = source_strong_components(comps)
-    if len(sources) != 1:
+    root = _source_root(d)
+    if root is None:
         return SolveResult("dmlob", k, False, 0, False, "trivial")
-    root = comps.components[sources[0]][0]
     if k == 1:
         t = find_out_branching(d, root)
         return SolveResult("dmlob", k, True, 1, True, "trivial", t)

@@ -8,6 +8,7 @@ package implementations they check.
 from __future__ import annotations
 
 import sys
+from heapq import heappop, heappush
 from itertools import combinations, permutations, product
 
 from maxleaf.digraph import (
@@ -502,9 +503,41 @@ def dp_pathwidth_reference(
 # tighter search can be pinned to the same answer and witness.
 # The keyword packing (spanning mode only) adds the forced-parent
 # packing to the bound, built in full at every node, so the search's
-# node count can be pinned exactly.
+# node count can be pinned exactly.  The keyword seed (spanning mode
+# only) starts the best value at min(g, k - 1), g the leaf count of the
+# greedy out-branching from the first root, as the search does;
+# _greedy_leaves builds that tree as a copy of solver._greedy_parents.
 
 _BNB_MODES = ("spanning", "subtree")
+
+
+def _greedy_leaves(d: Digraph, root: int) -> int:
+    """Leaf count of the tree solver._greedy_parents(d, root) builds."""
+    out_neighbors = d.out_neighbors
+    in_neighbors = d.in_neighbors
+    outside = [d.out_degree(v) for v in range(d.n)]
+    joined = [False] * d.n
+    joined[root] = True
+    for x in in_neighbors(root):
+        outside[x] -= 1
+    parent: dict[int, int] = {}
+    heap = [(-outside[root], root)]
+    while heap:
+        count, u = heappop(heap)
+        if outside[u] != -count:
+            if outside[u]:
+                heappush(heap, (-outside[u], u))
+            continue
+        children = [w for w in out_neighbors(u) if not joined[w]]
+        for w in children:
+            joined[w] = True
+            parent[w] = u
+            for x in in_neighbors(w):
+                outside[x] -= 1
+        for w in children:
+            if outside[w]:
+                heappush(heap, (-outside[w], w))
+    return d.n - len(set(parent.values()))
 
 
 class _BnbBudgetHit(Exception):
@@ -518,6 +551,7 @@ def branch_and_bound_reference(
     node_budget: int | None = None,
     allow_unknown: bool = False,
     packing: bool = False,
+    seed: bool = False,
 ) -> tuple[SolveResult, int]:
     """The branch and bound that the packing bound tightened, returning
     (result, nodes visited).
@@ -538,8 +572,8 @@ def branch_and_bound_reference(
         raise ContractError("k must be at least 1")
     if d.n < 1:
         raise ContractError("empty digraph")
-    if packing and mode != "spanning":
-        raise ContractError("packing needs spanning mode")
+    if (packing or seed) and mode != "spanning":
+        raise ContractError("packing and seed need spanning mode")
     problem = "dmlob" if mode == "spanning" else "dmlot"
     n = d.n
     full = (1 << n) - 1
@@ -554,7 +588,7 @@ def branch_and_bound_reference(
     else:
         roots = list(range(n))
 
-    best = 0
+    best = min(_greedy_leaves(d, roots[0]), k - 1) if seed else 0
     best_tree: tuple[int, dict[int, int]] | None = None
     nodes = 0
     parent: dict[int, int] = {}

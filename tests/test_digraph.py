@@ -1,14 +1,17 @@
+import random
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle, double_cycle, random_digraph
+from conftest import cycle, directed_path, double_cycle, random_digraph
 from maxleaf import (
     Digraph,
+    GenSpec,
     ParseError,
     UndirectedGraph,
+    generate,
     has_out_branching,
     in_L_exact,
     in_L_sufficient,
@@ -18,6 +21,9 @@ from maxleaf import (
     write_digraph,
 )
 from maxleaf.digraph import (
+    Condensation,
+    _source_root,
+    _tarjan,
     induced_subdigraph,
     is_oriented,
     min_in_degree,
@@ -108,6 +114,64 @@ def test_source_components_have_no_incoming_dag_arc():
         sources = source_strong_components(comps)
         heads = {b for _, b in comps.dag_arcs}
         assert set(sources) == set(range(len(comps.components))) - heads
+
+
+def _canonical_condensation(d):
+    """The Condensation built from the closure partition: components
+    sorted inside and ordered by smallest member."""
+    comps = sorted((tuple(sorted(c)) for c in scc_partition_by_closure(d)), key=lambda c: c[0])
+    comp_of = [0] * d.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    dag = frozenset((comp_of[u], comp_of[v]) for u, v in d.arcs if comp_of[u] != comp_of[v])
+    return Condensation(tuple(comps), dag, tuple(comp_of))
+
+
+def _relabeled(d, seed):
+    perm = list(range(d.n))
+    random.Random(seed).shuffle(perm)
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+def test_condensation_matches_the_closure_oracle_in_full():
+    # the strong shortcut and Tarjan's algorithm must both give the
+    # canonical value, not only the same partition
+    pool = list(all_digraphs(4))
+    for seed, n in enumerate((2, 3, 7, 30)):
+        for d in (cycle(n), double_cycle(n)):
+            pool += [d, _relabeled(d, seed)]
+    for n in (4, 10, 25):
+        pool += [generate(GenSpec("strong-random", n=n, extra=5, seed=s)) for s in (0, 1)]
+    for d in pool:
+        assert strongly_connected_components(d) == _canonical_condensation(d), d.arcs
+        assert _tarjan(d) == _canonical_condensation(d), d.arcs
+
+
+def _tarjan_root(d):
+    """Smallest vertex of Tarjan's unique source component, or None."""
+    comps = _tarjan(d)
+    sources = source_strong_components(comps)
+    return comps.components[sources[0]][0] if len(sources) == 1 else None
+
+
+def test_source_root_matches_tarjan():
+    pool = list(all_digraphs(4))
+    assert len(pool) == 4096
+    pool += [Digraph(1, []), Digraph(2, [])]
+    pool += [_relabeled(directed_path(n), seed) for seed, n in enumerate((2, 5, 12, 40))]
+    for n in range(2, 13):
+        pool += [random_digraph(seed, n, p) for seed in range(40) for p in (0.1, 0.2, 0.35)]
+    several_sources = 0
+    for d in pool:
+        assert _source_root(d) == _tarjan_root(d), d.arcs
+        several_sources += len(source_strong_components(_tarjan(d))) >= 2
+    assert several_sources >= 100
+    assert _source_root(Digraph(1, [])) == 0
+    assert _source_root(Digraph(0, [])) is None
+    p = list(range(12))
+    random.Random(5).shuffle(p)
+    assert _source_root(Digraph(12, [(p[i], p[i + 1]) for i in range(11)])) == p[0]
 
 
 def test_has_out_branching_matches_oracle_n3():

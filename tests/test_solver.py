@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxleaf.digraph
 import maxleaf.solver
 from conftest import cycle, double_cycle, directed_path, out_star, random_digraph
 from maxleaf import (
@@ -225,6 +226,7 @@ def test_bnb_matches_reference_property(n, arc_bits, k, mode):
 def test_bnb_node_count_matches_the_packing_reference():
     # the search skips the packing where it cannot prune, so it must
     # visit exactly the nodes of the reference that always builds it
+    # and starts from the same greedy seed
     rng = random.Random(9)
     pool = [generate(GenSpec("tournament-random", n=12, seed=1)), cycle(30)]
     for n in range(2, 10):
@@ -233,7 +235,7 @@ def test_bnb_node_count_matches_the_packing_reference():
             pool.append(Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]))
     for d in pool:
         for k in range(2, d.n + 1):
-            ref, nodes = branch_and_bound_reference(d, k, "spanning", packing=True)
+            ref, nodes = branch_and_bound_reference(d, k, "spanning", packing=True, seed=True)
             r = branch_and_bound(d, k, "spanning", node_budget=nodes)
             assert (r.answer, r.value) == (ref.answer, ref.value), (d.arcs, k)
             if ref.witness is not None:
@@ -241,6 +243,28 @@ def test_bnb_node_count_matches_the_packing_reference():
             if nodes:
                 with pytest.raises(OverBudgetError):
                     branch_and_bound(d, k, "spanning", node_budget=nodes - 1)
+
+
+def test_greedy_seed_keeps_the_answer_and_witness_and_visits_no_more_nodes():
+    # the seed only cuts subtrees that hold no tree beating it
+    rng = random.Random(13)
+    pool = list(all_digraphs(4))
+    for n in range(5, 10):
+        for _ in range(12):
+            p = rng.uniform(0.15, 0.6)
+            pool.append(Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]))
+    for d in pool:
+        for k in range(1, d.n + 1):
+            ref, nodes = branch_and_bound_reference(d, k, "spanning", packing=True)
+            seeded, seeded_nodes = branch_and_bound_reference(d, k, "spanning", packing=True, seed=True)
+            r = branch_and_bound(d, k, "spanning", node_budget=nodes)
+            assert seeded_nodes <= nodes
+            for got in (seeded, r):
+                assert (got.answer, got.value) == (ref.answer, ref.value), (d.arcs, k)
+                if ref.witness is None:
+                    assert got.witness is None
+                else:
+                    assert (got.witness.root, got.witness.parent) == (ref.witness.root, ref.witness.parent)
 
 
 @pytest.mark.parametrize(
@@ -761,7 +785,27 @@ def _acyclic_two_step(n):
 
 
 def test_each_decided_region_builds_one_greedy_tree(monkeypatch):
-    trees = _recording(monkeypatch, "_greedy_parents")
+    # branch and bound builds its own greedy tree for its seed; only the
+    # trees built outside it count here
+    searching = []
+    search = maxleaf.solver.branch_and_bound
+    greedy = maxleaf.solver._greedy_parents
+    trees = []
+
+    def search_wrapper(*args, **kwargs):
+        searching.append(args)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    def greedy_wrapper(*args):
+        if not searching:
+            trees.append((args, None))
+        return greedy(*args)
+
+    monkeypatch.setattr(maxleaf.solver, "branch_and_bound", search_wrapper)
+    monkeypatch.setattr(maxleaf.solver, "_greedy_parents", greedy_wrapper)
     settles = _recording(monkeypatch, "_settle_by_tree")
     bfs = _recording(monkeypatch, "find_out_branching")
     cases = [
@@ -924,7 +968,9 @@ def test_dmlot_searches_each_strong_component_once(monkeypatch):
     relabeled_cycle = Digraph(n, [(p[i], p[(i + 1) % n]) for i in range(n)])
     r = solve_dmlot(relabeled_cycle, 2)
     assert r.answer is False and r.value == 1
-    assert len(calls) == 1  # one search per vertex would be about n^2 / 2 steps
+    # a strong digraph is its one component's region, so no search is
+    # made; one search per vertex would be about n^2 / 2 steps
+    assert calls == []
     calls.clear()
     r = solve_dmlot(generate(GenSpec("tournament-transitive", n=8)), 8)
     assert r.answer is False and r.value == 7
@@ -937,6 +983,36 @@ def test_dmlot_searches_each_strong_component_once(monkeypatch):
     r = solve_dmlot(relabeled_path, 2)
     assert r.answer is False and r.value == 1
     assert calls == [p[-1]]
+
+
+def test_drivers_run_tarjan_only_for_the_components_of_a_digraph_that_is_not_strong(monkeypatch):
+    # the root comes from graph searches, and a strong digraph's one
+    # component from two of them; only solve_dmlot on a digraph that is
+    # not strong needs Tarjan's algorithm, once
+    runs = []
+    tarjan = maxleaf.digraph._tarjan
+
+    def counting(d):
+        runs.append(d)
+        return tarjan(d)
+
+    monkeypatch.setattr(maxleaf.digraph, "_tarjan", counting)
+    strong = [cycle(150), double_cycle(12), generate(GenSpec("strong-random", n=10, extra=5, seed=0))]
+    for d in strong:
+        for solve in (solve_dmlob, solve_dmlot):
+            for k in (2, 3, d.n):
+                solve(d, k)
+    assert runs == []
+    d = generate(GenSpec("min-in-degree-random", n=10, d=2, seed=9))
+    assert len(strongly_connected_components(d).components) == 4
+    runs.clear()
+    for k in (2, 5, 10):
+        solve_dmlob(d, k)
+    assert runs == []
+    for k in (2, 5, 10):
+        runs.clear()
+        solve_dmlot(d, k)
+        assert runs == [d]
 
 
 def test_dmlot_skips_regions_that_cannot_beat_the_best(monkeypatch):
