@@ -8,6 +8,13 @@ into a prefix) or certifies the structure is small and trims it away;
 the leftovers assemble into a path decomposition of the underlying
 undirected graph of width at most k**3.
 
+The trim builds no trimmed copy of d: each cover path's piece is read
+from d's out-lists with the trimmed arcs left out, and the bags are
+swept from the path order in d's labels, each sorted once.
+trim_around, induced_subdigraph and ordering_to_path_decomposition
+compute the same pieces and bags the long way; decompose does not call
+them.
+
 The paper's pipeline, built for any spanning out-tree, also handles
 forward arcs: arcs two or more positions ahead along a cover path.  A
 breadth-first tree has none, since depth grows by one per step along a
@@ -355,6 +362,16 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
     stages of the module docstring from root; every bag holds the
     off-path vertices U1, at most (k-1)^2 of them.
 
+    Trim: an arc touching U1 stays only as a cover-path arc (head right
+    after tail on its path); every other arc that joins two cover paths
+    has an end in U1.  Each path's piece is labelled by path position.
+    Decomposition: along the path a vertex is active from just after
+    its own position to the last position of a neighbour in the piece,
+    and a position's bag is its vertex, the active set and U1 -- the
+    bags of ordering_to_path_decomposition on the piece's underlying
+    graph, relabelled and joined with U1.  The active set is the
+    ordering's vertex separation, at most k.  The trace is unchanged.
+
     Needs k >= 2 (for k <= 1 the answer is just whether an out-branching
     exists) and a digraph with an out-branching.  Witnesses are checked
     against the original digraph before being returned; internal bound
@@ -402,33 +419,58 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
     trace.append("trim")
     if len(u1) > (k - 1) ** 2:
         raise InvariantError(f"|U1| = {len(u1)} exceeds (k-1)^2 = {(k - 1) ** 2}")
-    d1 = trim_around(d, u1, cover)
+    path_of = [0] * d.n
+    for pi, path in enumerate(cover.paths):
+        for v in path:
+            path_of[v] = pi
 
     trace.append("backward-arcs")
-    for a, b in d1.arcs:
-        if cover.where[a][0] != cover.where[b][0]:
+    for a, b in d.arcs:
+        if path_of[a] != path_of[b] and a not in u1 and b not in u1:
             raise InvariantError(f"arc ({a},{b}) still joins two cover paths")
-    pieces = []  # (component order, local path, local sigma)
+    pieces = []  # (path, piece labelled by path position)
     for path in sorted(cover.paths, key=min):
-        sub, order = induced_subdigraph(d1, path)
-        local = {v: i for i, v in enumerate(order)}
-        p_local = [local[v] for v in path]
-        res = backward_component_check(sub, p_local, k)
+        pos = {v: i for i, v in enumerate(path)}
+        arcs = set()
+        for i, u in enumerate(path):
+            trimmed = u in u1
+            for v in d._out[u]:
+                j = pos.get(v)
+                if j is not None and (j == i + 1 or not (trimmed or v in u1)):
+                    arcs.add((i, j))
+        sub = Digraph._from_checked(len(path), arcs)
+        res = backward_component_check(sub, range(len(path)), k)
         if isinstance(res, OutTree):
-            return witness(res.relabel(order, d.n))
-        pieces.append((sub, order, res))
+            return witness(res.relabel(path, d.n))
+        pieces.append((path, sub))
 
     trace.append("decomposition")
-    bags: list[list[int]] = []
-    for sub, order, sigma in pieces:
-        local_pd = ordering_to_path_decomposition(underlying_undirected(sub), sigma)
-        if local_pd.width > k:
+    bags: list[tuple[int, ...]] = []
+    for path, sub in pieces:
+        q = len(path)
+        # last[i]: the last position of a neighbour of position i in the
+        # piece (out- and in-lists are sorted), -1 for none
+        last = [
+            max(out[-1] if out else -1, inn[-1] if inn else -1)
+            for out, inn in zip(sub._out, sub._in)
+        ]
+        active: set[int] = set()
+        expire: list[list[int]] = [[] for _ in range(q + 1)]
+        separation = 0
+        for j, v in enumerate(path):
+            for u in expire[j]:
+                active.remove(u)
+            if len(active) > separation:
+                separation = len(active)
+            bags.append(tuple(sorted(u1.union(active, (v,)))))
+            if last[j] > j:
+                active.add(v)
+                expire[last[j] + 1].append(v)
+        if separation > k:
             raise InvariantError(
-                f"component ordering has separation {local_pd.width}, expected <= {k}"
+                f"component ordering has separation {separation}, expected <= {k}"
             )
-        for bag in local_pd.bags:
-            bags.append(sorted({order[x] for x in bag} | u1))
-    pd = PathDecomposition(bags)
+    pd = PathDecomposition._from_sorted(bags)
     try:
         pd.check(underlying_undirected(d))
     except ContractError as exc:

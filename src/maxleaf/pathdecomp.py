@@ -64,50 +64,65 @@ class PathDecomposition:
     a common bag, and the bags containing any one vertex are consecutive.
     """
 
-    __slots__ = ("bags",)
+    __slots__ = ("bags", "width")
 
     def __init__(self, bags: Iterable[Iterable[int]]) -> None:
-        self.bags: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(set(b))) for b in bags
-        )
+        self._set(tuple(tuple(sorted(set(b))) for b in bags))
 
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
+    @classmethod
+    def _from_sorted(cls, bags: Iterable[tuple[int, ...]]) -> PathDecomposition:
+        """Decomposition whose bags are already sorted, duplicate-free
+        tuples: the sort of __init__ is skipped."""
+        pd = cls.__new__(cls)
+        pd._set(tuple(bags))
+        return pd
+
+    def _set(self, bags: tuple[tuple[int, ...], ...]) -> None:
+        self.bags = bags
+        self.width = max(map(len, bags), default=0) - 1
 
     def check(self, g: UndirectedGraph) -> None:
         """Raise ContractError unless this is a path decomposition of g.
 
-        Each vertex's bags are collected once.  Two consecutive runs of
-        bags share one exactly when they overlap, so an edge costs O(1);
-        only an end whose run is already reported as not consecutive
-        falls back to intersecting bag lists.  O(total bag size + m)
-        when the decomposition is valid.
+        One pass over the bags records each vertex's first bag, last bag
+        and count; its bags are consecutive exactly when the count spans
+        first to last.  Two consecutive runs of bags share one exactly
+        when they overlap, so an edge costs O(1); only an edge with an
+        end whose run is already reported as not consecutive is looked
+        up in the bags both runs reach.  O(total bag size + m) when the
+        decomposition is valid.
         """
         problems: list[str] = []
-        positions: dict[int, list[int]] = {}
+        n = g.n
+        first = [-1] * n
+        last = [-1] * n
+        count = [0] * n
         for j, bag in enumerate(self.bags):
             for v in bag:
-                if not 0 <= v < g.n:
+                if not 0 <= v < n:
                     problems.append(f"bag {j} contains unknown vertex {v}")
-                positions.setdefault(v, []).append(j)
-        runs: dict[int, tuple[int, int]] = {}  # first and last bag of a consecutive run
-        for v in range(g.n):
-            idx = positions.get(v)
-            if not idx:
+                    continue
+                if first[v] < 0:
+                    first[v] = j
+                last[v] = j
+                count[v] += 1
+        run = [False] * n  # the bags holding v are consecutive
+        for v in range(n):
+            if not count[v]:
                 problems.append(f"vertex {v} is in no bag")
-            elif idx[-1] - idx[0] + 1 != len(idx):
+            elif last[v] - first[v] + 1 != count[v]:
+                idx = [j for j in range(first[v], last[v] + 1) if v in self.bags[j]]
                 problems.append(f"bags containing {v} are not consecutive: {idx}")
             else:
-                runs[v] = (idx[0], idx[-1])
+                run[v] = True
         uncovered = []
         for a, b in g.edges:
-            ra = runs.get(a)
-            rb = runs.get(b)
-            if ra is not None and rb is not None:
-                shared = max(ra[0], rb[0]) <= min(ra[1], rb[1])
+            lo = max(first[a], first[b])
+            hi = min(last[a], last[b])
+            if run[a] and run[b]:
+                shared = lo <= hi
             else:
-                shared = not set(positions.get(a, ())).isdisjoint(positions.get(b, ()))
+                shared = any(a in bag and b in bag for bag in self.bags[lo : hi + 1])
             if not shared:
                 uncovered.append((a, b))
         for a, b in sorted(uncovered):

@@ -15,13 +15,23 @@ from maxleaf.digraph import (
     Digraph,
     UndirectedGraph,
     arc_masks,
+    induced_subdigraph,
     iter_bits,
     source_strong_components,
     strongly_connected_components,
     underlying_undirected,
 )
+from maxleaf.decompose import (
+    DecomposeOutcome,
+    backward_component_check,
+    find_out_branching,
+    off_path_out_neighbors,
+    path_cover_from_out_branching,
+    trim_around,
+    witness_from_off_path,
+)
 from maxleaf.errors import ContractError, InvariantError, OverBudgetError
-from maxleaf.pathdecomp import PathDecomposition
+from maxleaf.pathdecomp import PathDecomposition, ordering_to_path_decomposition
 from maxleaf.solver import DpConfig, SolveResult
 from maxleaf.witness import OutTree, validate_out_tree
 
@@ -194,7 +204,7 @@ def vs_exhaustive(g: UndirectedGraph) -> int:
 
 
 # Literal references for the one-sweep rewrites in decompose.py and
-# pathdecomp.py: the straightforward quadratic scans those functions
+# pathdecomp.py: the straightforward scans and rebuilds those functions
 # replaced, kept verbatim so random inputs can pin identical output.
 
 
@@ -242,6 +252,87 @@ def ordering_to_path_decomposition_reference(
     for j, v in enumerate(order):
         bags.append([v] + [u for u in order[:j] if last[u] >= j])
     return PathDecomposition(bags)
+
+
+def decompose_reference(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
+    """decompose with the tail it had before the trim was folded into the
+    pieces: a trimmed copy of d, an induced subdigraph per cover path,
+    and a local path decomposition per piece, relabeled and joined with
+    U1 (kept verbatim)."""
+    if k < 2:
+        raise ContractError("decompose needs k >= 2; k <= 1 reduces to out-branching existence")
+    trace: list[str] = []
+
+    def witness(t: OutTree) -> DecomposeOutcome:
+        report = validate_out_tree(d, t)
+        if not report.ok:
+            raise InvariantError("bad witness: " + "; ".join(report.errors))
+        return DecomposeOutcome(k, witness=t, trace=trace)
+
+    trace.append("out-branching")
+    t = find_out_branching(d, root)
+    if t.leaf_count >= k:
+        return witness(t)
+
+    trace.append("path-cover")
+    cover = path_cover_from_out_branching(t)
+    try:
+        cover.validate(d)
+    except ContractError as exc:
+        raise InvariantError(f"broken path cover: {exc}") from exc
+
+    trace.append("off-path")
+    u1: set[int] = set()
+    for path in cover.paths:
+        w = off_path_out_neighbors(d, path)
+        if len(w) >= k:
+            pos = {v: i for i, v in enumerate(path)}
+            on_path = set(path)
+            choice = {
+                v: min(
+                    (u for u in d.in_neighbors(v) if u in on_path),
+                    key=pos.__getitem__,
+                )
+                for v in w
+            }
+            return witness(witness_from_off_path(path, w, choice, d.n))
+        u1 |= w
+
+    trace.append("trim")
+    if len(u1) > (k - 1) ** 2:
+        raise InvariantError(f"|U1| = {len(u1)} exceeds (k-1)^2 = {(k - 1) ** 2}")
+    d1 = trim_around(d, u1, cover)
+
+    trace.append("backward-arcs")
+    for a, b in d1.arcs:
+        if cover.where[a][0] != cover.where[b][0]:
+            raise InvariantError(f"arc ({a},{b}) still joins two cover paths")
+    pieces = []  # (component order, local path, local sigma)
+    for path in sorted(cover.paths, key=min):
+        sub, order = induced_subdigraph(d1, path)
+        local = {v: i for i, v in enumerate(order)}
+        p_local = [local[v] for v in path]
+        res = backward_component_check(sub, p_local, k)
+        if isinstance(res, OutTree):
+            return witness(res.relabel(order, d.n))
+        pieces.append((sub, order, res))
+
+    trace.append("decomposition")
+    bags: list[list[int]] = []
+    for sub, order, sigma in pieces:
+        local_pd = ordering_to_path_decomposition(underlying_undirected(sub), sigma)
+        if local_pd.width > k:
+            raise InvariantError(
+                f"component ordering has separation {local_pd.width}, expected <= {k}"
+            )
+        for bag in local_pd.bags:
+            bags.append(sorted({order[x] for x in bag} | u1))
+    pd = PathDecomposition(bags)
+    try:
+        pd.check(underlying_undirected(d))
+    except ContractError as exc:
+        raise InvariantError(f"broken decomposition: {exc}") from exc
+    return DecomposeOutcome(k, decomposition=pd, trace=trace)
 
 
 def decomposition_check_reference(pd: PathDecomposition, g: UndirectedGraph) -> None:

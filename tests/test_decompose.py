@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -36,7 +37,7 @@ from maxleaf.decompose import (
     witness_from_off_path,
 )
 from maxleaf.digraph import source_strong_components
-from oracles import backward_component_check_reference
+from oracles import all_digraphs, backward_component_check_reference, decompose_reference
 
 
 # ---------------------------------------------------------------- trees
@@ -442,3 +443,110 @@ def test_decompose_trace_prefix_order():
         d = generate(GenSpec(family="strong-random", n=9, extra=seed % 9, seed=seed))
         out = decompose(d, 3)
         assert out.trace == stages[: len(out.trace)]
+
+
+def _decompose_outcome(fn, d: Digraph, k: int, root: int | None = None):
+    out = fn(d, k, root)
+    if out.is_witness:
+        t = out.witness
+        return "witness", t.root, list(t.parent.items()), t.host_size, out.trace
+    pd = out.decomposition
+    return "decomposition", pd.bags, pd.width, out.trace
+
+
+def _relabeled(d: Digraph, rng: random.Random) -> Digraph:
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return Digraph(d.n, [(perm[a], perm[b]) for a, b in d.arcs])
+
+
+def _reference_corpus():
+    """(digraph, k, root) triples: every 4-vertex digraph with an
+    out-branching, seeded random digraphs with n <= 12 (also from a
+    second root), and relabeled closed families and strong-random n=200."""
+    for d in all_digraphs(4):
+        if has_out_branching(d):
+            for k in (2, 3, 4):
+                yield d, k, None
+    rng = random.Random(26)
+    for seed in range(150):
+        d = random_digraph(seed, rng.randint(1, 12), rng.choice((0.12, 0.2, 0.35)))
+        comps = strongly_connected_components(d)
+        sources = source_strong_components(comps)
+        if len(sources) != 1:
+            continue
+        for k in (2, 3, 4, 5):
+            yield d, k, None
+            yield d, k, rng.choice(comps.components[sources[0]])
+    for d in _family_hosts(rng):
+        for k in range(2, 7):
+            yield d, k, None
+
+
+def _family_hosts(rng: random.Random) -> list[Digraph]:
+    specs = [GenSpec(family=f, n=n) for f in ("cycle", "path", "double-cycle") for n in (9, 40, 200)]
+    specs += [GenSpec(family="strong-random", n=200, extra=5, seed=s) for s in range(3)]
+    return [_relabeled(generate(spec), rng) for spec in specs]
+
+
+def test_decompose_matches_the_rebuilding_reference():
+    # the pieces are built from d and the bags swept from the path order;
+    # the reference trims a copy of d, induces each piece and runs
+    # ordering_to_path_decomposition on its underlying graph
+    kinds = {}
+    for d, k, root in _reference_corpus():
+        got = _decompose_outcome(decompose, d, k, root)
+        assert got == _decompose_outcome(decompose_reference, d, k, root), (sorted(d.arcs), k, root)
+        kinds[got[-1][-1]] = kinds.get(got[-1][-1], 0) + 1
+    # every producing stage but path-cover (which never decides) is reached
+    assert set(kinds) == {"out-branching", "off-path", "backward-arcs", "decomposition"}
+    assert min(kinds.values()) >= 20
+
+
+class _Counter:
+    def __init__(self, fn=None) -> None:
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def test_decompose_builds_each_graph_once(monkeypatch):
+    # one underlying graph per decomposition (for the final check), no
+    # trimmed copy of d, no induced subdigraph, no per-piece decomposition
+    # and no validating Digraph constructor
+    module = importlib.import_module("maxleaf.decompose")
+    counters = {
+        name: _Counter(getattr(module, name))
+        for name in (
+            "underlying_undirected",
+            "trim_around",
+            "induced_subdigraph",
+            "ordering_to_path_decomposition",
+        )
+    }
+    hosts = [(d, k) for d in _family_hosts(random.Random(1)) for k in range(2, 7)]
+    hosts += [(random_digraph(seed, 12, 0.2), 3) for seed in range(40)]
+    hosts = [(d, k) for d, k in hosts if has_out_branching(d)]
+    validating = _Counter(Digraph.__init__)
+    for name, counter in counters.items():
+        monkeypatch.setattr(module, name, counter)
+    monkeypatch.setattr(Digraph, "__init__", lambda self, *a: validating(self, *a))
+    decompositions = witnesses = 0
+    for d, k in hosts:
+        before = counters["underlying_undirected"].calls
+        out = decompose(d, k)
+        built = counters["underlying_undirected"].calls - before
+        if out.is_witness:
+            witnesses += 1
+            assert built == 0
+        else:
+            decompositions += 1
+            assert built == 1
+    assert witnesses >= 20 and decompositions >= 20
+    assert counters["underlying_undirected"].calls == decompositions
+    for name in ("trim_around", "induced_subdigraph", "ordering_to_path_decomposition"):
+        assert counters[name].calls == 0, name
+    assert validating.calls == 0

@@ -14,6 +14,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "maxleaf"
 EXEMPT = {
     ("solver.py", "in_L_sufficient"): "perfbench/spans.py wraps maxleaf.solver.in_L_sufficient",
     ("solver.py", "decompose"): "perfbench/spans.py wraps maxleaf.solver.decompose",
+    ("decompose.py", "induced_subdigraph"): "perfbench/spans.py wraps maxleaf.decompose.induced_subdigraph",
+    ("decompose.py", "ordering_to_path_decomposition"): (
+        "perfbench/spans.py wraps maxleaf.decompose.ordering_to_path_decomposition"
+    ),
 }
 
 

@@ -11,6 +11,7 @@ from maxleaf import (
     Digraph,
     PathCover,
     PathDecomposition,
+    decompose,
     min_frontier_ordering,
     ordering_to_path_decomposition,
     underlying_undirected,
@@ -269,3 +270,43 @@ def test_check_messages_match_reference_on_corrupted_bags():
         "bag 1 contains unknown vertex 9; bags containing 0 are not consecutive: [0, 2]; "
         "vertex 4 is in no bag; edge (0,2) has no common bag; edge (1,3) has no common bag"
     )
+    # out-of-range vertices, and edges with an end whose bags are not
+    # consecutive, looked up in the bags both ends reach: they may still
+    # share one there
+    cases = [
+        (
+            UndirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+            [[-1, 0, 1], [0, 2, 4], [2, 3]],
+            "bag 0 contains unknown vertex -1; bag 1 contains unknown vertex 4; "
+            "edge (1,3) has no common bag",
+        ),
+        (
+            UndirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+            [[0, 1], [1, 3], [0, 2], [2, 3]],
+            "bags containing 0 are not consecutive: [0, 2]; "
+            "bags containing 3 are not consecutive: [1, 3]",
+        ),
+        (
+            UndirectedGraph(5, [(0, 1), (2, 3), (2, 4)]),
+            [[0], [1], [0, 2], [1, 3], [3]],
+            "bags containing 0 are not consecutive: [0, 2]; "
+            "bags containing 1 are not consecutive: [1, 3]; vertex 4 is in no bag; "
+            "edge (0,1) has no common bag; edge (2,3) has no common bag; "
+            "edge (2,4) has no common bag",
+        ),
+    ]
+    for g, bags, expected in cases:
+        pd = PathDecomposition(bags)
+        assert _check_message(PathDecomposition.check, pd, g) == expected
+        assert _check_message(decomposition_check_reference, pd, g) == expected
+
+
+def test_width_is_the_largest_bag_less_one():
+    for bags in ([], [[0]], [[0, 1], [1, 2, 3], [3]], [[2, 0, 2], [1]]):
+        pd = PathDecomposition(bags)
+        assert pd.width == max((len(b) for b in pd.bags), default=0) - 1
+        presorted = PathDecomposition._from_sorted(pd.bags)
+        assert presorted == pd
+        assert presorted.width == pd.width
+    pd = decompose(double_cycle(9), 3).decomposition
+    assert pd.width == max(len(b) for b in pd.bags) - 1
