@@ -8,12 +8,13 @@ into a prefix) or certifies the structure is small and trims it away;
 the leftovers assemble into a path decomposition of the underlying
 undirected graph of width at most k**3.
 
-The trim builds no trimmed copy of d: each cover path's piece is read
-from d's out-lists with the trimmed arcs left out, and the bags are
-swept from the path order in d's labels, each sorted once.
-trim_around, induced_subdigraph and ordering_to_path_decomposition
-compute the same pieces and bags the long way; decompose does not call
-them.
+The trim builds no graph: each cover path's piece is read from d's
+out-lists with the trimmed arcs left out, as lists of in-neighbor
+positions along the path, and the bags are swept from the path order
+in d's labels, each sorted once.  The final check reads d's arcs, not
+its underlying undirected graph.  trim_around, induced_subdigraph,
+underlying_undirected and ordering_to_path_decomposition compute the
+same pieces, bags and check the long way; decompose does not call them.
 
 The paper's pipeline, built for any spanning out-tree, also handles
 forward arcs: arcs two or more positions ahead along a cover path.  A
@@ -24,7 +25,7 @@ helpers serve other trees; decompose does not call them.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,17 +115,17 @@ def find_out_branching(d: Digraph, root: int | None = None) -> OutTree:
     elif not 0 <= root < d.n:
         raise ContractError(f"root {root} out of range")
     parent: dict[int, int] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in d.out_neighbors(u):
-            if v not in seen:
-                seen.add(v)
+    seen = [False] * d.n
+    seen[root] = True
+    queue = [root]  # the loop reads the vertices appended while it runs
+    for u in queue:
+        for v in d._out[u]:
+            if not seen[v]:
+                seen[v] = True
                 parent[v] = u
                 queue.append(v)
-    if len(seen) < d.n:
-        missing = sorted(set(range(d.n)) - seen)
+    if len(queue) < d.n:
+        missing = [v for v in range(d.n) if not seen[v]]
         raise ContractError(f"vertices {missing} unreachable from root {root}")
     return OutTree(root, parent, d.n)
 
@@ -158,20 +159,23 @@ def path_cover_from_out_branching(t: OutTree) -> PathCover:
     per leaf of the input tree.
     """
     _check_tree_shape(t)
-    children = {v: list(t.children(v)) for v in t.vertices}
+    children = {v: list(c) for v, c in t._children.items()}
     parent = dict(t.parent)
     leaves = set(t.leaves)
+    branching = sum(len(c) >= 2 for c in children.values())
     paths: list[list[int]] = []
-    while any(len(c) >= 2 for c in children.values()):
+    while branching:
         leaf = min(leaves)
         walk = [leaf]
         while walk[-1] != t.root:
             walk.append(parent[walk[-1]])
         walk.reverse()
-        cut = max(i for i, v in enumerate(walk) if len(children[v]) >= 2)
+        cut = max(i for i, v in enumerate(walk) if len(children.get(v, ())) >= 2)
         segment = walk[cut + 1 :]
         paths.append(segment)
-        children[walk[cut]].remove(segment[0])
+        kids = children[walk[cut]]
+        kids.remove(segment[0])
+        branching -= len(kids) == 1
         for v in segment:
             children.pop(v, None)
             parent.pop(v, None)
@@ -318,13 +322,8 @@ def backward_component_check(
     in-neighbors in the matching suffix p[j:]; the suffix path plus one
     such backward arc for each of the first k of them is the witness.
     Otherwise every prefix boundary is small and the path order has
-    vertex separation <= k.
-
-    One sweep: with reach[i] the last position of an in-neighbor of
-    p[i], p[i] is a target of prefix j exactly when i < j <= reach[i],
-    so a difference array over j counts the targets of every prefix.
-    Each vertex's in-neighbors are read once for reach[i] and, for the
-    k chosen targets only, once more: O(q + m) in all.
+    vertex separation <= k.  Lists each vertex's in-neighbor positions
+    and runs _backward_arcs on them.
     """
     if sorted(p) != list(range(c.n)):
         raise ContractError("path does not cover the component")
@@ -333,8 +332,25 @@ def backward_component_check(
     if chords:
         a, b = min(chords)
         raise ContractError(f"arc ({a},{b}) is a forward chord, not allowed here")
-    q = len(p)
-    reach = [max((pos[u] for u in c.in_neighbors(v)), default=-1) for v in p]
+    res = _backward_arcs([sorted(pos[u] for u in c.in_neighbors(v)) for v in p], k)
+    if isinstance(res, OutTree):
+        return res.relabel(p, c.n)
+    return list(p)
+
+
+def _backward_arcs(ins: list[list[int]], k: int) -> OutTree | list[int]:
+    """backward_component_check on a path labelled by position: ins[i]
+    lists the in-neighbors of position i in ascending order.  Returns
+    the witness on positions 0..q-1, or reach: reach[i] is the last
+    position of an in-neighbor of i, -1 for none.
+
+    One sweep: position i is a target of prefix j exactly when
+    i < j <= reach[i], so a difference array over j counts the targets
+    of every prefix.  A target's parent is its first in-neighbor at j or
+    later, found by bisection: O(q + m) in all.
+    """
+    q = len(ins)
+    reach = [inn[-1] if inn else -1 for inn in ins]
     diff = [0] * (q + 1)
     for i, r in enumerate(reach):
         if r > i:
@@ -344,16 +360,12 @@ def backward_component_check(
     for j in range(1, q):
         count += diff[j]
         if count >= k:
-            parent = {p[t + 1]: p[t] for t in range(j, q - 1)}
+            parent = {t + 1: t for t in range(j, q - 1)}
             targets = [i for i in range(j) if reach[i] >= j]
             for i in targets[:k]:
-                v = p[i]
-                parent[v] = min(
-                    (u for u in c.in_neighbors(v) if pos[u] >= j),
-                    key=pos.__getitem__,
-                )
-            return OutTree(p[j], parent, c.n)
-    return list(p)
+                parent[i] = ins[i][bisect_left(ins[i], j)]
+            return OutTree(j, parent, q)
+    return reach
 
 
 def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
@@ -364,13 +376,19 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
 
     Trim: an arc touching U1 stays only as a cover-path arc (head right
     after tail on its path); every other arc that joins two cover paths
-    has an end in U1.  Each path's piece is labelled by path position.
-    Decomposition: along the path a vertex is active from just after
-    its own position to the last position of a neighbour in the piece,
-    and a position's bag is its vertex, the active set and U1 -- the
-    bags of ordering_to_path_decomposition on the piece's underlying
-    graph, relabelled and joined with U1.  The active set is the
-    ordering's vertex separation, at most k.  The trace is unchanged.
+    has an end in U1.  Each path's piece is one pass over its vertices'
+    out-lists: for every position, the ascending positions of its
+    in-neighbors in the piece and its last out-neighbor position.  An
+    arc two or more positions ahead raises InvariantError, since a
+    breadth-first tree's cover has none.  Decomposition: along the path
+    a vertex is active from just after its own position to the last
+    position of a neighbour in the piece, and a position's bag is its
+    vertex, the active set and U1 -- the bags of
+    ordering_to_path_decomposition on the piece's underlying graph,
+    relabelled and joined with U1.  The active set is the ordering's
+    vertex separation, at most k.  The result is checked against d
+    itself (PathDecomposition.check reads its arcs).  The trace is
+    unchanged.
 
     Needs k >= 2 (for k <= 1 the answer is just whether an out-branching
     exists) and a digraph with an out-branching.  Witnesses are checked
@@ -420,51 +438,63 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
     if len(u1) > (k - 1) ** 2:
         raise InvariantError(f"|U1| = {len(u1)} exceeds (k-1)^2 = {(k - 1) ** 2}")
     path_of = [0] * d.n
+    position = [0] * d.n
     for pi, path in enumerate(cover.paths):
-        for v in path:
+        for i, v in enumerate(path):
             path_of[v] = pi
+            position[v] = i
 
     trace.append("backward-arcs")
     for a, b in d.arcs:
         if path_of[a] != path_of[b] and a not in u1 and b not in u1:
             raise InvariantError(f"arc ({a},{b}) still joins two cover paths")
-    pieces = []  # (path, piece labelled by path position)
+    pieces = []  # (path, last position of a neighbour in the piece, per position)
     for path in sorted(cover.paths, key=min):
-        pos = {v: i for i, v in enumerate(path)}
-        arcs = set()
+        pi = path_of[path[0]]
+        q = len(path)
+        ins: list[list[int]] = [[] for _ in range(q)]
+        last_out = [-1] * q
         for i, u in enumerate(path):
             trimmed = u in u1
             for v in d._out[u]:
-                j = pos.get(v)
-                if j is not None and (j == i + 1 or not (trimmed or v in u1)):
-                    arcs.add((i, j))
-        sub = Digraph._from_checked(len(path), arcs)
-        res = backward_component_check(sub, range(len(path)), k)
+                if path_of[v] != pi:
+                    continue
+                j = position[v]
+                if j == i + 1 or not (trimmed or v in u1):
+                    if j > i + 1:
+                        raise InvariantError(
+                            f"arc ({u},{v}) jumps ahead along its cover path"
+                        )
+                    ins[j].append(i)
+                    if j > last_out[i]:
+                        last_out[i] = j
+        res = _backward_arcs(ins, k)
         if isinstance(res, OutTree):
             return witness(res.relabel(path, d.n))
-        pieces.append((path, sub))
+        pieces.append((path, list(map(max, last_out, res))))
 
     trace.append("decomposition")
     bags: list[tuple[int, ...]] = []
-    for path, sub in pieces:
-        q = len(path)
-        # last[i]: the last position of a neighbour of position i in the
-        # piece (out- and in-lists are sorted), -1 for none
-        last = [
-            max(out[-1] if out else -1, inn[-1] if inn else -1)
-            for out, inn in zip(sub._out, sub._in)
-        ]
-        active: set[int] = set()
-        expire: list[list[int]] = [[] for _ in range(q + 1)]
+    base = sorted(u1)
+    for path, last in pieces:
+        active = 0  # the size of the active set
+        outside: set[int] = set()  # its vertices not in U1
+        expire: list[list[int]] = [[] for _ in range(len(path) + 1)]
         separation = 0
         for j, v in enumerate(path):
             for u in expire[j]:
-                active.remove(u)
-            if len(active) > separation:
-                separation = len(active)
-            bags.append(tuple(sorted(u1.union(active, (v,)))))
+                outside.discard(u)
+            active -= len(expire[j])
+            if active > separation:
+                separation = active
+            v_outside = v not in u1
+            bag = [*base, *outside, v] if v_outside else [*base, *outside]
+            bag.sort()
+            bags.append(tuple(bag))
             if last[j] > j:
-                active.add(v)
+                active += 1
+                if v_outside:
+                    outside.add(v)
                 expire[last[j] + 1].append(v)
         if separation > k:
             raise InvariantError(
@@ -472,7 +502,7 @@ def decompose(d: Digraph, k: int, root: int | None = None) -> DecomposeOutcome:
             )
     pd = PathDecomposition._from_sorted(bags)
     try:
-        pd.check(underlying_undirected(d))
+        pd.check(d)
     except ContractError as exc:
         raise InvariantError(f"broken decomposition: {exc}") from exc
     return DecomposeOutcome(k, decomposition=pd, trace=trace)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from .decompose import DecomposeOutcome
-from .digraph import Digraph, underlying_undirected
+from .digraph import Digraph
 from .errors import ContractError, ParseError
 from .pathdecomp import PathDecomposition
 from .solver import SolveResult
@@ -127,7 +127,7 @@ def validation_report(d: Digraph, obj: Any) -> dict[str, Any]:
         pd = decomposition_from_json(obj)
         errors: list[str] = []
         try:
-            pd.check(underlying_undirected(d))
+            pd.check(d)
         except ContractError as exc:
             errors = str(exc).split("; ")
         return {

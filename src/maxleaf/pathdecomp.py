@@ -81,16 +81,19 @@ class PathDecomposition:
         self.bags = bags
         self.width = max(map(len, bags), default=0) - 1
 
-    def check(self, g: UndirectedGraph) -> None:
-        """Raise ContractError unless this is a path decomposition of g.
+    def check(self, g: UndirectedGraph | Digraph) -> None:
+        """Raise ContractError unless this is a path decomposition of g;
+        a digraph is checked as its underlying undirected graph, with
+        the same messages, without building that graph.
 
         One pass over the bags records each vertex's first bag, last bag
         and count; its bags are consecutive exactly when the count spans
         first to last.  Two consecutive runs of bags share one exactly
         when they overlap, so an edge costs O(1); only an edge with an
         end whose run is already reported as not consecutive is looked
-        up in the bags both runs reach.  O(total bag size + m) when the
-        decomposition is valid.
+        up in the bags both runs reach.  An uncovered arc is reported as
+        the edge (min, max), once for both arcs of a 2-cycle.
+        O(total bag size + m) when the decomposition is valid.
         """
         problems: list[str] = []
         n = g.n
@@ -115,16 +118,16 @@ class PathDecomposition:
                 problems.append(f"bags containing {v} are not consecutive: {idx}")
             else:
                 run[v] = True
-        uncovered = []
-        for a, b in g.edges:
-            lo = max(first[a], first[b])
-            hi = min(last[a], last[b])
+        uncovered = set()
+        for a, b in g.arcs if isinstance(g, Digraph) else g.edges:
             if run[a] and run[b]:
-                shared = lo <= hi
+                shared = first[a] <= last[b] and first[b] <= last[a]
             else:
+                lo = max(first[a], first[b])
+                hi = min(last[a], last[b])
                 shared = any(a in bag and b in bag for bag in self.bags[lo : hi + 1])
             if not shared:
-                uncovered.append((a, b))
+                uncovered.add((a, b) if a < b else (b, a))
         for a, b in sorted(uncovered):
             problems.append(f"edge ({a},{b}) has no common bag")
         if problems:

@@ -446,7 +446,7 @@ def dp_pathwidth(d: Digraph, pd: PathDecomposition, cfg: DpConfig) -> SolveResul
         )
     if pd.width >= _MAX_SLOTS:
         raise OverBudgetError(f"dp states hold at most {_MAX_SLOTS} bag slots")
-    pd.check(underlying_undirected(d))
+    pd.check(d)
     k = cfg.leaf_cap
     if cfg.mode == "subtree":
         return _best_region(

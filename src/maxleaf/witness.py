@@ -10,7 +10,7 @@ witnesses can be represented and then rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .digraph import Digraph
 
@@ -18,7 +18,7 @@ from .digraph import Digraph
 class OutTree:
     """Immutable rooted tree witness inside a host digraph."""
 
-    __slots__ = ("root", "parent", "host_size", "_children", "_leaves")
+    __slots__ = ("root", "parent", "host_size", "_children", "_vertices", "_leaves")
 
     def __init__(self, root: int, parent: Mapping[int, int], host_size: int) -> None:
         self.root = root
@@ -28,12 +28,12 @@ class OutTree:
         for v, p in self.parent.items():
             children.setdefault(p, []).append(v)
         self._children = {p: tuple(sorted(vs)) for p, vs in children.items()}
-        verts = self.vertices
-        self._leaves = frozenset(v for v in verts if v not in self._children)
+        self._vertices = frozenset({root, *self.parent.keys(), *self.parent.values()})
+        self._leaves = self._vertices.difference(self._children)
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset({self.root, *self.parent.keys(), *self.parent.values()})
+        return self._vertices
 
     @property
     def leaves(self) -> frozenset[int]:
@@ -53,9 +53,9 @@ class OutTree:
     def is_spanning(self) -> bool:
         return len(self.vertices) == self.host_size
 
-    def relabel(self, order: tuple[int, ...], host_size: int) -> "OutTree":
+    def relabel(self, order: Sequence[int], host_size: int) -> "OutTree":
         """Map local vertex i to order[i]; used to lift witnesses out of
-        induced subdigraphs."""
+        induced subdigraphs and cover-path positions."""
         return OutTree(
             order[self.root],
             {order[v]: order[p] for v, p in self.parent.items()},
@@ -143,5 +143,5 @@ def validate_out_tree(d: Digraph, t: OutTree) -> OutTreeValidation:
         ok=ok,
         errors=tuple(errors),
         leaf_count=t.leaf_count,
-        spanning=len(t.vertices) == d.n,
+        spanning=len(ids) == d.n,
     )

@@ -411,6 +411,18 @@ def test_decompose_needs_an_out_branching():
         decompose(Digraph(4, [(0, 1), (2, 3)]), 2)
 
 
+def test_decompose_rejects_a_piece_arc_two_positions_ahead(monkeypatch):
+    # a breadth-first tree's cover has no such arc; a depth-first path
+    # tree over the chord (0,2) does, and the piece reports it
+    d = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    module = importlib.import_module("maxleaf.decompose")
+    monkeypatch.setattr(
+        module, "find_out_branching", lambda d, root: OutTree(0, {1: 0, 2: 1, 3: 2}, 4)
+    )
+    with pytest.raises(InvariantError, match=r"arc \(0,2\) jumps ahead"):
+        decompose(d, 2)
+
+
 def test_decompose_fuzzed_always_valid():
     g = underlying_undirected
     count = 0
@@ -514,9 +526,10 @@ class _Counter:
 
 
 def test_decompose_builds_each_graph_once(monkeypatch):
-    # one underlying graph per decomposition (for the final check), no
-    # trimmed copy of d, no induced subdigraph, no per-piece decomposition
-    # and no validating Digraph constructor
+    # no graph is built after the out-branching: no underlying graph (the
+    # final check reads d), no trimmed copy of d, no induced subdigraph,
+    # no per-piece Digraph or decomposition and no validating Digraph
+    # constructor
     module = importlib.import_module("maxleaf.decompose")
     counters = {
         name: _Counter(getattr(module, name))
@@ -531,22 +544,19 @@ def test_decompose_builds_each_graph_once(monkeypatch):
     hosts += [(random_digraph(seed, 12, 0.2), 3) for seed in range(40)]
     hosts = [(d, k) for d, k in hosts if has_out_branching(d)]
     validating = _Counter(Digraph.__init__)
+    checked = _Counter(Digraph._from_checked)
     for name, counter in counters.items():
         monkeypatch.setattr(module, name, counter)
     monkeypatch.setattr(Digraph, "__init__", lambda self, *a: validating(self, *a))
+    monkeypatch.setattr(Digraph, "_from_checked", staticmethod(checked))
     decompositions = witnesses = 0
     for d, k in hosts:
-        before = counters["underlying_undirected"].calls
-        out = decompose(d, k)
-        built = counters["underlying_undirected"].calls - before
-        if out.is_witness:
+        if decompose(d, k).is_witness:
             witnesses += 1
-            assert built == 0
         else:
             decompositions += 1
-            assert built == 1
     assert witnesses >= 20 and decompositions >= 20
-    assert counters["underlying_undirected"].calls == decompositions
-    for name in ("trim_around", "induced_subdigraph", "ordering_to_path_decomposition"):
-        assert counters[name].calls == 0, name
+    for name, counter in counters.items():
+        assert counter.calls == 0, name
     assert validating.calls == 0
+    assert checked.calls == 0

@@ -15,6 +15,7 @@ EXEMPT = {
     ("solver.py", "in_L_sufficient"): "perfbench/spans.py wraps maxleaf.solver.in_L_sufficient",
     ("solver.py", "decompose"): "perfbench/spans.py wraps maxleaf.solver.decompose",
     ("decompose.py", "induced_subdigraph"): "perfbench/spans.py wraps maxleaf.decompose.induced_subdigraph",
+    ("decompose.py", "underlying_undirected"): "perfbench/spans.py wraps maxleaf.decompose.underlying_undirected",
     ("decompose.py", "ordering_to_path_decomposition"): (
         "perfbench/spans.py wraps maxleaf.decompose.ordering_to_path_decomposition"
     ),

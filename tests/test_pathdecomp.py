@@ -301,6 +301,54 @@ def test_check_messages_match_reference_on_corrupted_bags():
         assert _check_message(decomposition_check_reference, pd, g) == expected
 
 
+def _digraph_check(pd: PathDecomposition, d: Digraph) -> None:
+    pd.check(d)
+
+
+def _underlying_check(pd: PathDecomposition, d: Digraph) -> None:
+    decomposition_check_reference(pd, underlying_undirected(d))
+
+
+def test_check_on_a_digraph_matches_its_underlying_graph():
+    # check(d) reads d's arcs; it must pass or fail exactly as the
+    # reference does on the underlying graph, with the same message
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        d = random_digraph(rng.randrange(10**6), n, rng.choice((0.1, 0.25, 0.5)))
+        g = underlying_undirected(d)
+        order = list(range(n))
+        rng.shuffle(order)
+        bags = [list(b) for b in ordering_to_path_decomposition(g, order).bags]
+        pd = PathDecomposition(_corrupt(rng, bags, n) if rng.random() < 0.8 else bags)
+        got = _check_message(_digraph_check, pd, d)
+        assert got == _check_message(_underlying_check, pd, d), (sorted(d.arcs), pd.bags)
+        failures += got is not None
+    assert 150 < failures < 300
+    two_cycles = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)])
+    cases = [
+        (
+            PathDecomposition([[0, 1], [1, 2]]),
+            "vertex 3 is in no bag; edge (2,3) has no common bag",
+        ),
+        (
+            PathDecomposition([[0, 1], [1, 2, 7], [2, 3]]),
+            "bag 1 contains unknown vertex 7",
+        ),
+        (
+            PathDecomposition([[0, 1], [2, 3], [1, 2]]),
+            "bags containing 1 are not consecutive: [0, 2]",
+        ),
+        # both arcs of the 2-cycle between 2 and 3 are uncovered: one edge
+        (PathDecomposition([[0, 1], [1, 2], [3]]), "edge (2,3) has no common bag"),
+        (PathDecomposition([[0, 1, 2, 3]]), None),
+    ]
+    for pd, expected in cases:
+        assert _check_message(_digraph_check, pd, two_cycles) == expected
+        assert _check_message(_underlying_check, pd, two_cycles) == expected
+
+
 def test_width_is_the_largest_bag_less_one():
     for bags in ([], [[0]], [[0, 1], [1, 2, 3], [3]], [[2, 0, 2], [1]]):
         pd = PathDecomposition(bags)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import cycle, directed_path, out_star, random_digraph
@@ -20,6 +22,25 @@ def test_leaf_and_child_bookkeeping():
     assert t.leaves == {2, 3}
     assert t.arcs() == [(0, 1), (0, 2), (1, 3)]
     assert t.is_spanning()
+
+
+def test_vertices_and_leaves_match_the_parent_map():
+    rng = random.Random(4)
+    trees = [OutTree(5, {}, 9)]
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # each vertex after the first hangs below an earlier one
+        parent = {perm[i]: perm[rng.randrange(i)] for i in range(1, n)}
+        trees.append(OutTree(perm[0], parent, n + rng.randint(0, 2)))
+    for t in trees:
+        vertices = {t.root} | set(t.parent) | set(t.parent.values())
+        assert t.vertices == vertices
+        assert t.leaves == vertices - set(t.parent.values())
+        assert t.leaf_count == len(t.leaves)
+        assert t.is_spanning() == (len(vertices) == t.host_size)
+    assert trees[0].vertices == trees[0].leaves == {5}
 
 
 def test_validate_accepts_bfs_tree():
